@@ -1,8 +1,7 @@
 //! Bench: the zero-allocation hot path (E22) and the raw-speed pass —
-//! persistent-pool fan-out versus per-call scoped spawns, bitset/SoA
-//! scratch reduction versus the heap-worklist scratch engine and a fresh
-//! owning reducer, shard-affinity versus work-stealing batch fan-out, and
-//! the bounded-memory streaming sweep versus the materialized driver.
+//! persistent-pool fan-out versus per-call scoped spawns, the reused
+//! bitset/SoA scratch reducer versus a fresh owning reducer, and the
+//! bounded-memory streaming sweep versus the materialized driver.
 //!
 //! Comparisons, all over the E19 trust-density spec corpus:
 //!
@@ -11,32 +10,29 @@
 //!   [`trustseq_core::pool`] versus through a fresh `std::thread::scope`
 //!   (one OS thread spawn + join per worker per call, the pre-pool shape
 //!   of every sweep driver in the workspace).
-//! * `batch_sharded` — the same sweep through
-//!   [`pool::broadcast_sharded`]: each worker owns one contiguous shard
-//!   instead of stealing off a shared counter.
 //! * `dispatch_pooled` vs `dispatch_scoped_spawn` — the fan-out primitive
 //!   alone on a no-op job, isolating spawn/park cost from the reduction
 //!   work.
-//! * `reduce_scratch` vs `reduce_heap_scratch` vs `reduce_owning` — a
-//!   single spec reduced through the bitset/SoA [`ScratchReducer`] (live
-//!   edges and candidates in `u64` bitset words, packed per-node state
-//!   words), through the PR-4 pointer-ordered heap-worklist
-//!   [`HeapScratchReducer`], and through a fresh
-//!   `Reducer::new(graph.clone())` per iteration. `elements` carries the
+//! * `reduce_scratch` vs `reduce_owning` — a single spec reduced through
+//!   a reused bitset/SoA [`ScratchReducer`] (live edges and candidates in
+//!   `u64` bitset words, packed per-node state words) and through a fresh
+//!   `Reducer::new(graph.clone())` per iteration, which runs the same
+//!   engine plus a graph clone and fresh buffers. `elements` carries the
 //!   reduction-step count, so the JSON yields explicit reductions/sec.
-//! * `reduce_corpus_scratch` vs `reduce_corpus_heap_scratch` — the same
-//!   two engines walking the whole mixed-density corpus on one thread,
-//!   the representative single-thread reduction-throughput figure.
+//! * `reduce_corpus_scratch` — the scratch engine walking the whole
+//!   mixed-density corpus on one thread, the representative single-thread
+//!   reduction-throughput figure.
 //! * `sweep_materialized` vs `sweep_streaming` — the feasibility-rate
 //!   sweep with the whole corpus resident versus the chunked streaming
 //!   driver; a byte-tracking global allocator asserts in-bench that the
 //!   streaming peak stays a small fraction of the materialized peak on a
 //!   corpus ≥10× the chunk budget.
 //!
-//! Fan-out width is pinned to [`WORKERS`] so the pooled/scoped/sharded
-//! comparison measures dispatch mechanics, not the host's core count — on
-//! a 1-core container all variants oversubscribe identically. In-bench
-//! asserts pin every variant pair to byte-identical outcomes.
+//! Fan-out width is pinned to [`WORKERS`] so the pooled/scoped comparison
+//! measures dispatch mechanics, not the host's core count — on a 1-core
+//! host both variants oversubscribe identically. In-bench asserts pin
+//! both fan-outs to byte-identical outcomes and the scratch engine to the
+//! naive rescan oracle.
 //!
 //! `TRUSTSEQ_BENCH_QUICK=1` shrinks the workload and the measurement
 //! windows for CI smoke runs.
@@ -46,13 +42,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use trustseq_core::{
-    pool, HeapScratchReducer, Reducer, ReductionOutcome, ScratchReducer, SequencingGraph, Strategy,
-};
+use trustseq_core::{pool, Reducer, ReductionOutcome, ScratchReducer, SequencingGraph, Strategy};
 use trustseq_model::ExchangeSpec;
 use trustseq_workloads::{feasibility_rate_cached, random_exchange, sweep_streaming, RandomConfig};
 
-/// Fixed fan-out width for the pooled/scoped/sharded comparison (see
+/// Fixed fan-out width for the pooled/scoped comparison (see
 /// module docs).
 const WORKERS: usize = 4;
 
@@ -182,44 +176,20 @@ fn sweep_scoped_spawn(graphs: &[SequencingGraph]) -> Vec<ReductionOutcome> {
         .collect()
 }
 
-/// The same sweep with shard affinity: each worker walks one contiguous
-/// slice of the corpus with its own scratchpad — no shared claim counter.
-fn sweep_sharded(graphs: &[SequencingGraph]) -> Vec<ReductionOutcome> {
-    let results: Vec<Mutex<Option<ReductionOutcome>>> =
-        graphs.iter().map(|_| Mutex::new(None)).collect();
-    pool::broadcast_sharded(WORKERS, graphs.len(), &|_, range| {
-        let mut scratch = ScratchReducer::new();
-        let mut out = ReductionOutcome::default();
-        for i in range {
-            scratch.run_into(&graphs[i], Strategy::Deterministic, &mut out);
-            *results[i].lock().unwrap() = Some(out.clone());
-        }
-    });
-    results
-        .into_iter()
-        .map(|slot| slot.into_inner().unwrap().expect("every shard covered"))
-        .collect()
-}
-
 fn bench_hotpath(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpath");
     let graphs = corpus();
     group.throughput(Throughput::Elements(graphs.len() as u64));
 
-    // Every fan-out must produce byte-identical sweeps (traces included):
-    // dispatch and shard shape change scheduling, never results.
-    let reference = sweep_pooled(&graphs);
-    assert_eq!(reference, sweep_scoped_spawn(&graphs));
-    assert_eq!(reference, sweep_sharded(&graphs));
+    // Both fan-outs must produce byte-identical sweeps (traces included):
+    // dispatch changes scheduling, never results.
+    assert_eq!(sweep_pooled(&graphs), sweep_scoped_spawn(&graphs));
 
     group.bench_function("batch_pooled", |b| {
         b.iter(|| sweep_pooled(black_box(&graphs)))
     });
     group.bench_function("batch_scoped_spawn", |b| {
         b.iter(|| sweep_scoped_spawn(black_box(&graphs)))
-    });
-    group.bench_function("batch_sharded", |b| {
-        b.iter(|| sweep_sharded(black_box(&graphs)))
     });
 
     // The fan-out primitive alone: a no-op job at the same width.
@@ -241,27 +211,23 @@ fn bench_hotpath(c: &mut Criterion) {
         })
     });
 
-    // Per-spec reduction: the bitset/SoA engine versus the PR-4
-    // heap-worklist scratch engine versus a fresh owning reducer. All
-    // three must agree byte-for-byte on the densest corpus graph.
+    // Per-spec reduction: a reused scratchpad versus a fresh owning
+    // reducer, both checked byte-for-byte against the naive rescan oracle
+    // on the densest corpus graph.
     let dense = &graphs[graphs.len() - 1];
     let mut scratch = ScratchReducer::new();
-    let mut heap = HeapScratchReducer::new();
     let mut out = ReductionOutcome::default();
     scratch.run_into(dense, Strategy::Deterministic, &mut out);
     let dense_reductions = out.trace.len() as u64;
-    assert_eq!(&out, &Reducer::new(dense.clone()).run());
-    heap.run_into(dense, Strategy::Deterministic, &mut out);
-    assert_eq!(&out, &Reducer::new(dense.clone()).run());
+    let naive = Reducer::new(dense.clone()).run_naive();
+    assert_eq!(&out, &naive);
+    assert_eq!(&Reducer::new(dense.clone()).run(), &naive);
     // `elements` = reduction steps per pass, so every `reduce_*` entry in
     // the emitted JSON yields an explicit reductions/sec figure
     // (elements / mean_ns).
     group.throughput(Throughput::Elements(dense_reductions));
     group.bench_function("reduce_scratch", |b| {
         b.iter(|| scratch.run_into(black_box(dense), Strategy::Deterministic, &mut out))
-    });
-    group.bench_function("reduce_heap_scratch", |b| {
-        b.iter(|| heap.run_into(black_box(dense), Strategy::Deterministic, &mut out))
     });
     group.bench_function("reduce_owning", |b| {
         b.iter(|| Reducer::new(black_box(dense.clone())).run())
@@ -284,13 +250,6 @@ fn bench_hotpath(c: &mut Criterion) {
         b.iter(|| {
             for g in &graphs {
                 scratch.run_into(black_box(g), Strategy::Deterministic, &mut out);
-            }
-        })
-    });
-    group.bench_function("reduce_corpus_heap_scratch", |b| {
-        b.iter(|| {
-            for g in &graphs {
-                heap.run_into(black_box(g), Strategy::Deterministic, &mut out);
             }
         })
     });

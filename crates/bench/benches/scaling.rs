@@ -42,9 +42,9 @@ fn bench_scaling(c: &mut Criterion) {
         );
     }
 
-    // Incremental worklist engine vs. the naive rescan oracle on random
-    // topologies: same traces, different per-step cost (O(neighbourhood)
-    // vs. O(edges)).
+    // The bitset scratch engine (behind `Reducer::run`) vs. the naive
+    // rescan oracle on random topologies: same traces, different per-step
+    // cost (O(neighbourhood) vs. O(edges)).
     for (width, depth) in [(2usize, 2usize), (4, 3), (8, 4), (12, 5)] {
         let ex = random_exchange(&RandomConfig {
             width,

@@ -52,7 +52,7 @@ use crate::build::BuildOptions;
 use crate::canon::{canonicalize, prefingerprint, CanonicalForm, Fingerprint, PreFingerprint};
 use crate::graph::{EdgeColor, SequencingGraph};
 use crate::obs;
-use crate::reduce::{ConfluenceReport, Reducer, ReductionOutcome, Strategy};
+use crate::reduce::{ConfluenceReport, ReductionOutcome, Strategy};
 use crate::scratch::ScratchReducer;
 use crate::CoreError;
 use parking_lot::Mutex;
@@ -385,7 +385,8 @@ impl AnalysisCache {
     #[cfg(debug_assertions)]
     fn maybe_verify_hit(hits_before: u64, graph: &SequencingGraph, labelled: &LabelledEntry) {
         if hits_before.is_multiple_of(HIT_VERIFY_SAMPLE) {
-            let fresh = Reducer::new(labelled.form.canonical_graph(graph)).run();
+            let canonical = labelled.form.canonical_graph(graph);
+            let fresh = ScratchReducer::new().run(&canonical, Strategy::Deterministic);
             assert_eq!(
                 fresh, labelled.entry.outcome,
                 "cached outcome diverges from a fresh reduction (fingerprint collision?)"
@@ -457,12 +458,14 @@ impl AnalysisCache {
                 // Reduce outside the lock: reductions are the expensive
                 // part, and a racing thread interning the same structure
                 // first is harmless.
-                let (outcome, reduced) =
-                    Reducer::new(form.canonical_graph(graph)).run_keeping_graph();
+                // Edge colours never change during a reduction, so the
+                // remaining reds are read off the canonical graph itself.
+                let canonical = form.canonical_graph(graph);
+                let outcome = ScratchReducer::new().run(&canonical, Strategy::Deterministic);
                 let remaining_red = outcome
                     .remaining_edges
                     .iter()
-                    .filter(|&&e| reduced.edge(e).color == EdgeColor::Red)
+                    .filter(|&&e| canonical.edge(e).color == EdgeColor::Red)
                     .count() as u32;
                 let candidate = Arc::new(CacheEntry {
                     outcome,

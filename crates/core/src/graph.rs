@@ -140,27 +140,21 @@ pub struct SequencingGraph {
     commitment_edges: Csr<EdgeId>,
     conjunction_edges: Csr<EdgeId>,
     live_count: usize,
-    // Cached per-node live-edge counters, kept in lock-step with `alive` by
-    // `remove_edge`/`restore_edge` so fringe and pre-emption queries are O(1)
-    // instead of an adjacency scan. Invariants (checked by the scan oracles
-    // in debug builds):
-    //   commitment_live[c]      == #{ live edges at commitment c }
-    //   conjunction_live[j]     == #{ live edges at conjunction j }
-    //   conjunction_live_red[j] == #{ live red edges at conjunction j }
-    commitment_live: Vec<usize>,
-    conjunction_live: Vec<usize>,
-    conjunction_live_red: Vec<usize>,
-    // Raw-speed caches consumed by `ScratchReducer::reset_for`, so a
-    // scratch reset is a handful of memcpys instead of an O(edges) scan.
-    //
-    // Packed per-node state words, kept in lock-step with `alive`: the
-    // high 32 bits hold the live degree, the low 32 bits an XOR
-    // accumulator of live edge slots. When the degree is exactly 1 the
-    // accumulator *is* the surviving slot — an O(1) survivor lookup — and
-    // packing both into one word means a removal touches one cache word
-    // per node instead of two. `conjunction_red_state` tracks only the
-    // live *red* edges of each conjunction (rule #1 pre-emption and its
-    // lift cascade).
+    // Packed per-node state words, kept in lock-step with `alive` by
+    // `remove_edge`/`restore_edge`: the high 32 bits hold the live
+    // degree, the low 32 bits an XOR accumulator of live edge slots. When
+    // the degree is exactly 1 the accumulator *is* the surviving slot — an
+    // O(1) survivor lookup — and packing both into one word means a
+    // removal touches one cache word per node instead of two.
+    // `conjunction_red_state` tracks only the live *red* edges of each
+    // conjunction (rule #1 pre-emption and its lift cascade). The degree
+    // and pre-emption queries read the high halves, so they are O(1)
+    // instead of an adjacency scan; `ScratchReducer::reset_for` copies the
+    // words verbatim. Invariants (checked by the scan oracles in debug
+    // builds):
+    //   commitment_state[c]      >> 32 == #{ live edges at commitment c }
+    //   conjunction_state[j]     >> 32 == #{ live edges at conjunction j }
+    //   conjunction_red_state[j] >> 32 == #{ live red edges at conjunction j }
     commitment_state: Vec<u64>,
     conjunction_state: Vec<u64>,
     conjunction_red_state: Vec<u64>,
@@ -195,17 +189,11 @@ impl SequencingGraph {
             conjunctions.len(),
             edges.iter().map(|e| (e.conjunction.index(), e.id)),
         );
-        let mut commitment_live = vec![0usize; commitments.len()];
-        let mut conjunction_live = vec![0usize; conjunctions.len()];
-        let mut conjunction_live_red = vec![0usize; conjunctions.len()];
         let mut commitment_state = vec![0u64; commitments.len()];
         let mut conjunction_state = vec![0u64; conjunctions.len()];
         let mut conjunction_red_state = vec![0u64; conjunctions.len()];
         for (slot, e) in edges.iter().enumerate() {
-            commitment_live[e.commitment.index()] += 1;
-            conjunction_live[e.conjunction.index()] += 1;
             if e.color == EdgeColor::Red {
-                conjunction_live_red[e.conjunction.index()] += 1;
                 conjunction_red_state[e.conjunction.index()] =
                     (conjunction_red_state[e.conjunction.index()] + (1 << 32)) ^ slot as u64;
             }
@@ -231,12 +219,12 @@ impl SequencingGraph {
         // commitment degree 1 and no pre-empting *other* live red edge at
         // the conjunction (unless waived); rule #2 wants conjunction
         // degree 1. Static, so seeding becomes a memcpy.
+        let reds_at = |j: ConjunctionId| conjunction_red_state[j.index()] >> 32;
         let seed_cand_words = pack(
             &mut edges.iter().flat_map(|e| {
-                let rule2 = conjunction_live[e.conjunction.index()] == 1;
-                let rule1 = commitment_live[e.commitment.index()] == 1 && {
-                    let preempted = conjunction_live_red[e.conjunction.index()]
-                        > usize::from(e.color == EdgeColor::Red);
+                let rule2 = conjunction_state[e.conjunction.index()] >> 32 == 1;
+                let rule1 = commitment_state[e.commitment.index()] >> 32 == 1 && {
+                    let preempted = reds_at(e.conjunction) > u64::from(e.color == EdgeColor::Red);
                     !preempted || commitments[e.commitment.index()].clause2_waiver
                 };
                 [rule2, rule1]
@@ -250,9 +238,9 @@ impl SequencingGraph {
         // eligibility test is one bitset load instead of an
         // edge→conjunction→red-state pointer chase.
         let seed_preempted_words = pack(
-            &mut edges.iter().map(|e| {
-                conjunction_live_red[e.conjunction.index()] > usize::from(e.color == EdgeColor::Red)
-            }),
+            &mut edges
+                .iter()
+                .map(|e| reds_at(e.conjunction) > u64::from(e.color == EdgeColor::Red)),
             edges.len(),
         );
         let live_count = edges.len();
@@ -264,9 +252,6 @@ impl SequencingGraph {
             commitment_edges,
             conjunction_edges,
             live_count,
-            commitment_live,
-            conjunction_live,
-            conjunction_live_red,
             commitment_state,
             conjunction_state,
             conjunction_red_state,
@@ -405,20 +390,10 @@ impl SequencingGraph {
         &self.alive
     }
 
-    /// The cached per-node live counters, for scratch-state seeding.
-    pub(crate) fn live_counter_slices(&self) -> (&[usize], &[usize], &[usize]) {
-        (
-            &self.commitment_live,
-            &self.conjunction_live,
-            &self.conjunction_live_red,
-        )
-    }
-
-    /// The cached packed per-node state words (degree in the high 32 bits,
+    /// The packed per-node state words (degree in the high 32 bits,
     /// live-slot XOR accumulator in the low 32) for commitments,
     /// conjunctions, and red-only conjunctions, kept in lock-step with
-    /// `alive` like the degree counters. Copied verbatim by
-    /// `ScratchReducer::reset_for`.
+    /// `alive`. Copied verbatim by `ScratchReducer::reset_for`.
     pub(crate) fn state_slices(&self) -> (&[u64], &[u64], &[u64]) {
         (
             &self.commitment_state,
@@ -488,42 +463,44 @@ impl SequencingGraph {
             .map(|e| &self.edges[e.index()])
     }
 
-    /// Number of live edges at a commitment. O(1) via the cached counter.
+    /// Number of live edges at a commitment. O(1): the high half of the
+    /// packed state word.
     pub fn commitment_degree(&self, id: CommitmentId) -> usize {
-        let cached = self.commitment_live[id.index()];
+        let cached = (self.commitment_state[id.index()] >> 32) as usize;
         debug_assert_eq!(
             cached,
             self.scan_commitment_degree(id),
-            "stale commitment_live counter at {id}"
+            "stale commitment state word at {id}"
         );
         cached
     }
 
-    /// Number of live edges at a conjunction. O(1) via the cached counter.
+    /// Number of live edges at a conjunction. O(1): the high half of the
+    /// packed state word.
     pub fn conjunction_degree(&self, id: ConjunctionId) -> usize {
-        let cached = self.conjunction_live[id.index()];
+        let cached = (self.conjunction_state[id.index()] >> 32) as usize;
         debug_assert_eq!(
             cached,
             self.scan_conjunction_degree(id),
-            "stale conjunction_live counter at {id}"
+            "stale conjunction state word at {id}"
         );
         cached
     }
 
     /// Adjacency-scan oracle for [`Self::commitment_degree`]; asserted equal
-    /// to the cached counter in debug builds.
+    /// to the state-word degree in debug builds.
     pub(crate) fn scan_commitment_degree(&self, id: CommitmentId) -> usize {
         self.live_edges_of_commitment(id).count()
     }
 
     /// Adjacency-scan oracle for [`Self::conjunction_degree`]; asserted equal
-    /// to the cached counter in debug builds.
+    /// to the state-word degree in debug builds.
     pub(crate) fn scan_conjunction_degree(&self, id: ConjunctionId) -> usize {
         self.live_edges_of_conjunction(id).count()
     }
 
     /// Adjacency-scan oracle for [`Self::preempted_by_red`]; asserted equal
-    /// to the counter-derived answer in debug builds.
+    /// to the state-word answer in debug builds.
     pub(crate) fn scan_preempted_by_red(&self, conjunction: ConjunctionId, except: EdgeId) -> bool {
         self.live_edges_of_conjunction(conjunction)
             .any(|e| e.color == EdgeColor::Red && e.id != except)
@@ -540,11 +517,11 @@ impl SequencingGraph {
     }
 
     /// Whether a live red edge other than `except` is incident to the
-    /// conjunction — the pre-emption test of Rule #1. O(1): the cached live
-    /// red count, minus one when `except` itself is a live red edge of this
-    /// conjunction.
+    /// conjunction — the pre-emption test of Rule #1. O(1): the live red
+    /// count in the high half of the conjunction's red state word, minus
+    /// one when `except` itself is a live red edge of this conjunction.
     pub fn preempted_by_red(&self, conjunction: ConjunctionId, except: EdgeId) -> bool {
-        let mut reds = self.conjunction_live_red[conjunction.index()];
+        let mut reds = self.conjunction_red_state[conjunction.index()] >> 32;
         if let Some(e) = self.edges.get(except.index()) {
             if self.alive[except.index()]
                 && e.color == EdgeColor::Red
@@ -557,7 +534,7 @@ impl SequencingGraph {
         debug_assert_eq!(
             preempted,
             self.scan_preempted_by_red(conjunction, except),
-            "stale conjunction_live_red counter at {conjunction}"
+            "stale conjunction red state word at {conjunction}"
         );
         preempted
     }
@@ -573,10 +550,7 @@ impl SequencingGraph {
                 *slot = false;
                 self.live_count -= 1;
                 let e = self.edges[id.index()];
-                self.commitment_live[e.commitment.index()] -= 1;
-                self.conjunction_live[e.conjunction.index()] -= 1;
                 if e.color == EdgeColor::Red {
-                    self.conjunction_live_red[e.conjunction.index()] -= 1;
                     let st = &mut self.conjunction_red_state[e.conjunction.index()];
                     *st = (*st - (1 << 32)) ^ id.index() as u64;
                 }
@@ -596,18 +570,15 @@ impl SequencingGraph {
     /// [`ScratchReducer`](crate::ScratchReducer); this is the mutation
     /// substrate for the [`DeltaAnalyzer`](crate::DeltaAnalyzer)'s evolving
     /// base graph (an indemnity revoked resurrects the principal-side edge
-    /// it had split away) and the test harness for the incremental counter
-    /// maintenance. No-op when the edge is already live.
+    /// it had split away) and the test harness for the incremental
+    /// state-word maintenance. No-op when the edge is already live.
     pub(crate) fn restore_edge(&mut self, id: EdgeId) {
         let slot = &mut self.alive[id.index()];
         if !*slot {
             *slot = true;
             self.live_count += 1;
             let e = self.edges[id.index()];
-            self.commitment_live[e.commitment.index()] += 1;
-            self.conjunction_live[e.conjunction.index()] += 1;
             if e.color == EdgeColor::Red {
-                self.conjunction_live_red[e.conjunction.index()] += 1;
                 let st = &mut self.conjunction_red_state[e.conjunction.index()];
                 *st = (*st + (1 << 32)) ^ id.index() as u64;
             }
@@ -822,10 +793,10 @@ mod tests {
     }
 
     #[test]
-    fn cached_counters_track_removals_and_restores() {
+    fn state_words_track_removals_and_restores() {
         let mut g = toy();
         // Churn the graph through every remove/restore order and verify the
-        // cached counters against the scan oracles at each step.
+        // state-word degrees against the scan oracles at each step.
         for first in [EdgeId::new(0), EdgeId::new(1)] {
             let second = EdgeId::new(1 - first.index() as u32);
             g.remove_edge(first).unwrap();
@@ -845,7 +816,7 @@ mod tests {
             }
         }
         assert_eq!(g.live_edge_count(), 2);
-        // Restoring an already-live edge is a no-op on the counters.
+        // Restoring an already-live edge is a no-op on the state words.
         g.restore_edge(EdgeId::new(0));
         assert_eq!(g.commitment_degree(CommitmentId::new(0)), 1);
     }

@@ -83,12 +83,11 @@ pub use graph::{
 };
 pub use indemnity::{IndemnityPlan, PlannedIndemnity};
 pub use obs::{MetricsRegistry, MetricsSnapshot, NoopRecorder, Recorder, VirtualClock};
-pub use pool::BatchMode;
 pub use protocol::{Instruction, Protocol};
 pub use reduce::{
     analyze, analyze_batch, analyze_batch_cached, analyze_batch_with, analyze_cached, analyze_with,
     confluence_check, confluence_check_cached, confluence_sweep, ConfluenceReport, Move, Reducer,
     ReductionOutcome, Strategy,
 };
-pub use scratch::{HeapScratchReducer, ScratchReducer};
+pub use scratch::ScratchReducer;
 pub use trace::{ReductionStep, ReductionTrace, Rule};

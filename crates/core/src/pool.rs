@@ -87,6 +87,11 @@ struct State {
     threads: usize,
 }
 
+// Aligned to a 128-byte adjacent-line pair so the split of these hot
+// locks across cache lines does not depend on where the linker puts the
+// static. Unaligned, the `hotpath` bench's no-op `dispatch_pooled` job
+// ran at either about 3 µs or about 7 µs, depending on the build.
+#[repr(align(128))]
 struct Pool {
     /// Serializes broadcasts: one job owns the worker threads at a time.
     scope: Mutex<()>,
@@ -241,88 +246,6 @@ pub fn broadcast(workers: usize, f: &(dyn Fn(usize) + Sync)) {
     }
 }
 
-/// How a batch driver distributes corpus items across worker indices.
-///
-/// The global default ([`batch_mode`] / [`set_batch_mode`], the CLI's
-/// `--sharded`) is consulted by [`analyze_batch`](crate::analyze_batch),
-/// the confluence samplers and the sim drivers; explicit-mode entry
-/// points like [`analyze_batch_with`](crate::analyze_batch_with) take it
-/// per call. Both modes produce byte-identical result vectors — only the
-/// worker-to-item assignment (and therefore cache locality and tail
-/// latency) differs.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub enum BatchMode {
-    /// Workers pull the next item from a shared atomic counter. Robust to
-    /// skew — one structurally hard item cannot idle the other workers —
-    /// at the cost of cross-worker cache-line traffic on the counter and
-    /// an unpredictable item→worker mapping.
-    #[default]
-    Stealing,
-    /// Each worker owns one contiguous corpus shard
-    /// ([`shard_range`]-sized). No shared counter in the inner loop, and a
-    /// worker's scratch buffers see a contiguous, prefetch-friendly slice
-    /// of the corpus — the right trade for large uniform batches.
-    Sharded,
-}
-
-/// Global default batch mode; 0 = stealing, 1 = sharded.
-static BATCH_MODE: AtomicUsize = AtomicUsize::new(0);
-
-/// The process-wide default [`BatchMode`] for batch drivers that don't
-/// take one explicitly.
-pub fn batch_mode() -> BatchMode {
-    match BATCH_MODE.load(Ordering::Relaxed) {
-        0 => BatchMode::Stealing,
-        _ => BatchMode::Sharded,
-    }
-}
-
-/// Sets the process-wide default [`BatchMode`] (the CLI's `--sharded`
-/// flag). Call once at startup; in-flight batches keep the mode they
-/// started with.
-pub fn set_batch_mode(mode: BatchMode) {
-    BATCH_MODE.store(mode as usize, Ordering::Relaxed);
-}
-
-/// Worker `index`'s contiguous slice of an `items`-element corpus split
-/// across `workers` shards: sizes differ by at most one, lower indices
-/// take the remainder, and the ranges tile `0..items` exactly.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero or `index >= workers`.
-pub fn shard_range(items: usize, workers: usize, index: usize) -> std::ops::Range<usize> {
-    assert!(workers > 0, "shard_range needs at least one worker");
-    assert!(index < workers, "shard index {index} out of {workers}");
-    let base = items / workers;
-    let rem = items % workers;
-    let start = index * base + index.min(rem);
-    let len = base + usize::from(index < rem);
-    start..start + len
-}
-
-/// Shard-affinity [`broadcast`]: runs `f(index, shard)` for each worker
-/// index, where `shard` is [`shard_range`]`(items, workers, index)` — a
-/// contiguous slice of the corpus pinned to that worker for the whole
-/// job. The alternative to atomic-counter stealing for batch drivers
-/// ([`BatchMode::Sharded`]).
-///
-/// Workers whose shard is empty still run (with an empty range), so `f`
-/// sees every index exactly once, same as [`broadcast`].
-///
-/// # Panics
-///
-/// Re-throws the first panic raised by any index, after the job drains.
-pub fn broadcast_sharded<F>(workers: usize, items: usize, f: &F)
-where
-    F: Fn(usize, std::ops::Range<usize>) + Sync,
-{
-    if workers == 0 {
-        return;
-    }
-    broadcast(workers, &|i| f(i, shard_range(items, workers, i)));
-}
-
 /// [`broadcast`] for jobs that produce results: each index's output vector
 /// is collected and the concatenation is returned in worker-index order.
 pub fn broadcast_collect<T, F>(workers: usize, f: &F) -> Vec<T>
@@ -415,53 +338,5 @@ mod tests {
     #[test]
     fn size_is_at_least_one() {
         assert!(size() >= 1);
-    }
-
-    #[test]
-    fn shard_ranges_tile_the_corpus_exactly() {
-        for items in [0usize, 1, 5, 7, 64, 100, 1023] {
-            for workers in [1usize, 2, 3, 4, 7, 16] {
-                let mut next = 0usize;
-                for i in 0..workers {
-                    let r = shard_range(items, workers, i);
-                    assert_eq!(r.start, next, "{items} items / {workers} workers @ {i}");
-                    next = r.end;
-                    // Balanced: sizes differ by at most one.
-                    let base = items / workers;
-                    assert!(r.len() == base || r.len() == base + 1);
-                }
-                assert_eq!(next, items, "{items} items / {workers} workers");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_broadcast_covers_every_item_once() {
-        let items = 103usize;
-        let hits: Vec<AtomicUsize> = (0..items).map(|_| AtomicUsize::new(0)).collect();
-        broadcast_sharded(4, items, &|_, shard| {
-            for i in shard {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        for (i, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(Ordering::Relaxed), 1, "item {i}");
-        }
-        // More workers than items: trailing shards are empty, all run.
-        let ran = AtomicUsize::new(0);
-        broadcast_sharded(8, 3, &|_, shard| {
-            ran.fetch_add(1, Ordering::Relaxed);
-            assert!(shard.len() <= 1);
-        });
-        assert_eq!(ran.load(Ordering::Relaxed), 8);
-    }
-
-    #[test]
-    fn batch_mode_defaults_to_stealing() {
-        // Don't mutate the global here (tests share the process): just
-        // check the enum round-trips through the atomic encoding.
-        assert_eq!(BatchMode::default(), BatchMode::Stealing);
-        assert_eq!(BatchMode::Stealing as usize, 0);
-        assert_eq!(BatchMode::Sharded as usize, 1);
     }
 }

@@ -1,7 +1,7 @@
 //! The reduction engine: rules #1 and #2, maximal (greedy) reduction and the
 //! feasibility test (§4.2).
 
-use crate::graph::{Edge, EdgeColor, EdgeId, SequencingGraph};
+use crate::graph::{EdgeId, SequencingGraph};
 use crate::obs;
 use crate::trace::{ReductionStep, ReductionTrace, Rule};
 use crate::CoreError;
@@ -9,23 +9,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::BinaryHeap;
 use std::fmt;
-
-/// A worklist entry: an edge that *may* currently be removable under one of
-/// the two rules.
-///
-/// The derived ordering — edge id first, then `rule1` (`true` sorts above
-/// `false`) — makes a max-[`BinaryHeap`] pop candidates in exactly the order
-/// the deterministic strategy wants: largest edge id, rule #1 preferred on
-/// ties. Entries are *lazily invalidated*: conditions are re-checked at pop
-/// time, stale entries are discarded, and `via_clause2` is recomputed fresh
-/// so the recorded step never reflects out-of-date pre-emption state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct Candidate {
-    pub(crate) edge: EdgeId,
-    pub(crate) rule1: bool,
-}
 
 /// A reduction move: a live edge together with the rule that sanctions its
 /// removal.
@@ -172,13 +156,13 @@ impl Reducer {
     /// # Errors
     ///
     /// [`CoreError::RuleNotApplicable`] if the move's preconditions do not
-    /// hold, [`CoreError::InvalidMove`] if the edge is dead.
+    /// hold, [`CoreError::InvalidMove`] if the edge is unknown or dead.
     pub fn apply(&mut self, mv: Move) -> Result<ReductionStep, CoreError> {
         let g = &self.graph;
-        if !g.is_live(mv.edge) {
-            return Err(CoreError::InvalidMove(mv.edge));
-        }
-        let edge = *g.edge(mv.edge);
+        let edge = match g.edges().get(mv.edge.index()) {
+            Some(&edge) if g.is_live(mv.edge) => edge,
+            _ => return Err(CoreError::InvalidMove(mv.edge)),
+        };
         match mv.rule {
             Rule::CommitmentFringe => {
                 if g.commitment_degree(edge.commitment) != 1 {
@@ -218,183 +202,31 @@ impl Reducer {
         Ok(step)
     }
 
-    /// Re-checks a popped worklist entry against the *current* graph,
-    /// returning the move it stands for if it is still applicable.
-    ///
-    /// `via_clause2` is recomputed here rather than stored in the entry, so a
-    /// step recorded after pre-emption state changed still reports the clause
-    /// that actually sanctioned it.
-    fn revalidate(&self, cand: Candidate) -> Option<Move> {
-        let g = &self.graph;
-        if !g.is_live(cand.edge) {
-            return None;
-        }
-        let e = g.edge(cand.edge);
-        if cand.rule1 {
-            if g.commitment_degree(e.commitment) != 1 {
-                return None;
-            }
-            let preempted = g.preempted_by_red(e.conjunction, e.id);
-            let waiver = g.commitment(e.commitment).clause2_waiver;
-            if preempted && !waiver {
-                return None;
-            }
-            Some(Move {
-                edge: e.id,
-                rule: Rule::CommitmentFringe,
-                via_clause2: preempted && waiver,
-            })
-        } else {
-            if g.conjunction_degree(e.conjunction) != 1 {
-                return None;
-            }
-            Some(Move {
-                edge: e.id,
-                rule: Rule::ConjunctionFringe,
-                via_clause2: false,
-            })
-        }
-    }
-
-    /// Pushes every move that removing `removed` can newly enable.
-    ///
-    /// Removing edge `(c, j)` can only change applicability in the affected
-    /// neighbourhood, via three monotone events:
-    ///
-    /// (a) `c`'s degree dropped to 1 — its surviving edge becomes a rule #1
-    ///     candidate;
-    /// (b) `j`'s degree dropped to 1 — its surviving edge becomes a rule #2
-    ///     candidate;
-    /// (c) `removed` was red — pre-emption at `j` may have lifted, so every
-    ///     live edge at `j` whose commitment is on the fringe becomes a
-    ///     rule #1 candidate.
-    ///
-    /// Degrees never grow and red edges never reappear during a run, so once
-    /// applicable a move stays applicable until its edge is removed; pushing
-    /// at each enabling event therefore keeps the heap a superset of the
-    /// applicable set, which is the invariant the driver relies on.
-    fn push_unlocked(&self, removed: Edge, heap: &mut BinaryHeap<Candidate>) {
-        let g = &self.graph;
-        if g.commitment_degree(removed.commitment) == 1 {
-            let survivor = g
-                .live_edges_of_commitment(removed.commitment)
-                .next()
-                .expect("degree 1 means one live edge");
-            heap.push(Candidate {
-                edge: survivor.id,
-                rule1: true,
-            });
-        }
-        if g.conjunction_degree(removed.conjunction) == 1 {
-            let survivor = g
-                .live_edges_of_conjunction(removed.conjunction)
-                .next()
-                .expect("degree 1 means one live edge");
-            heap.push(Candidate {
-                edge: survivor.id,
-                rule1: false,
-            });
-        }
-        if removed.color == EdgeColor::Red {
-            for e in g.live_edges_of_conjunction(removed.conjunction) {
-                if g.commitment_degree(e.commitment) == 1 {
-                    heap.push(Candidate {
-                        edge: e.id,
-                        rule1: true,
-                    });
-                }
-            }
-        }
-    }
-
-    /// The single reduction driver behind [`Reducer::run`] and
-    /// [`Reducer::run_keeping_graph`].
-    ///
-    /// The deterministic strategy runs the incremental worklist: the heap is
-    /// seeded with the currently applicable moves, and after each removal
-    /// only the removed edge's endpoints are re-examined
-    /// ([`Self::push_unlocked`]), so each step costs O(affected
-    /// neighbourhood · log worklist) instead of a full edge rescan. The
-    /// randomized strategy keeps the rescan loop, because it must sample
-    /// uniformly from the *whole* applicable set at every step.
-    fn drive(mut self) -> (ReductionOutcome, SequencingGraph) {
-        let mut trace = ReductionTrace::new();
-        // Worklist-depth tracking only runs with a recorder installed, so
-        // the default path is byte-for-byte the uninstrumented loop.
-        let track = obs::enabled();
-        let mut worklist_peak = 0usize;
-        match self.strategy {
-            Strategy::Deterministic => {
-                let mut heap: BinaryHeap<Candidate> = self
-                    .applicable_moves()
-                    .into_iter()
-                    .map(|m| Candidate {
-                        edge: m.edge,
-                        rule1: m.rule == Rule::CommitmentFringe,
-                    })
-                    .collect();
-                if track {
-                    worklist_peak = heap.len();
-                }
-                while let Some(cand) = heap.pop() {
-                    let Some(mv) = self.revalidate(cand) else {
-                        continue;
-                    };
-                    let removed = *self.graph.edge(mv.edge);
-                    let step = self.apply(mv).expect("revalidated move must apply");
-                    trace.push(step);
-                    self.push_unlocked(removed, &mut heap);
-                    if track {
-                        worklist_peak = worklist_peak.max(heap.len());
-                    }
-                }
-            }
-            Strategy::Randomized { seed } => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                loop {
-                    let mut moves = self.applicable_moves();
-                    if moves.is_empty() {
-                        break;
-                    }
-                    if track {
-                        worklist_peak = worklist_peak.max(moves.len());
-                    }
-                    moves.shuffle(&mut rng);
-                    let step = self.apply(moves[0]).expect("applicable move must apply");
-                    trace.push(step);
-                }
-            }
-        }
-        let remaining_edges: Vec<EdgeId> = self.graph.live_edges().map(|e| e.id).collect();
-        let outcome = ReductionOutcome {
-            feasible: remaining_edges.is_empty(),
-            trace,
-            remaining_edges,
-        };
-        if track {
-            record_reduction_metrics(&outcome, worklist_peak);
-        }
-        (outcome, self.graph)
-    }
-
-    /// Runs the reduction to a fixpoint and reports the outcome.
+    /// Runs the reduction to a fixpoint and reports the outcome, through a
+    /// [`ScratchReducer`](crate::ScratchReducer) over the owned graph.
     pub fn run(self) -> ReductionOutcome {
-        self.drive().0
+        crate::ScratchReducer::new().run(&self.graph, self.strategy)
     }
 
     /// Runs the reduction and returns the reduced graph alongside the
     /// outcome (useful for inspecting the impasse of an infeasible
-    /// exchange).
-    pub fn run_keeping_graph(self) -> (ReductionOutcome, SequencingGraph) {
-        self.drive()
+    /// exchange): the trace's removals are replayed onto the owned graph.
+    pub fn run_keeping_graph(mut self) -> (ReductionOutcome, SequencingGraph) {
+        let outcome = crate::ScratchReducer::new().run(&self.graph, self.strategy);
+        for step in outcome.trace.steps() {
+            self.graph
+                .remove_edge(step.edge)
+                .expect("a trace removes each live edge exactly once");
+        }
+        (outcome, self.graph)
     }
 
     /// Reference engine: rescans the whole edge set for applicable moves at
-    /// every step, exactly like the pre-worklist implementation.
+    /// every step.
     ///
     /// O(edges) per step, so O(edges²) per run — kept as the oracle the
     /// property tests and the `reduce_random` benchmarks compare the
-    /// incremental engine against.
+    /// bitset engine against.
     pub fn run_naive(mut self) -> ReductionOutcome {
         let mut trace = ReductionTrace::new();
         let mut rng = match self.strategy {
@@ -509,37 +341,28 @@ pub fn analyze_batch(
 }
 
 /// [`analyze_batch`] with an optional shared [`AnalysisCache`](crate::AnalysisCache).
-///
-/// Work distribution follows the process-wide default
-/// [`pool::batch_mode`](crate::pool::batch_mode): atomic-counter stealing
-/// (one structurally hard spec — or a chunk of cache misses next to a
-/// chunk of hits — cannot leave the other workers idle) or contiguous
-/// shard affinity (no shared counter, prefetch-friendly corpus slices).
-/// Results are byte-identical either way.
 pub fn analyze_batch_cached(
     specs: &[trustseq_model::ExchangeSpec],
     cache: Option<&crate::AnalysisCache>,
 ) -> Vec<Result<ReductionOutcome, CoreError>> {
     let workers = crate::pool::size().min(specs.len());
-    analyze_batch_with(specs, cache, workers, crate::pool::batch_mode())
+    analyze_batch_with(specs, cache, workers)
 }
 
 /// The fully explicit batch entry point: analyze `specs` with `workers`
-/// worker indices under `mode`, optionally through a shared cache.
+/// worker indices, optionally through a shared cache.
 ///
-/// The result vector is in input order and independent of both `workers`
-/// and `mode` — the property tests in `tests/bitset_equivalence.rs` hold
-/// sharded and stealing runs byte-identical. Exposed so sweep drivers and
-/// benchmarks can pin the distribution strategy per call regardless of
-/// the global default.
+/// Workers pull the next spec from a shared atomic counter, so one
+/// structurally hard spec — or a run of cache misses next to a run of
+/// hits — cannot leave the other workers idle. The result vector is in
+/// input order and independent of `workers`: the property tests in
+/// `tests/bitset_equivalence.rs` hold it equal to serial [`analyze`]
+/// spec for spec.
 pub fn analyze_batch_with(
     specs: &[trustseq_model::ExchangeSpec],
     cache: Option<&crate::AnalysisCache>,
     workers: usize,
-    mode: crate::pool::BatchMode,
 ) -> Vec<Result<ReductionOutcome, CoreError>> {
-    /// One result slot, filled exactly once by whichever worker owns it.
-    type BatchSlot = Option<Result<ReductionOutcome, CoreError>>;
     let workers = workers.min(specs.len());
     // Each worker analyzes through its own reusable scratchpad: the graph
     // build still allocates per spec, but the reduction itself reuses the
@@ -559,60 +382,26 @@ pub fn analyze_batch_with(
         let mut scratch = crate::ScratchReducer::new();
         return specs.iter().map(|s| analyze_one(&mut scratch, s)).collect();
     }
-    match mode {
-        crate::pool::BatchMode::Stealing => {
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let mut results: Vec<BatchSlot> = Vec::new();
-            results.resize_with(specs.len(), || None);
-            let worker = |_worker_index: usize| {
-                let mut scratch = crate::ScratchReducer::new();
-                let mut done: Vec<(usize, Result<ReductionOutcome, CoreError>)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(spec) = specs.get(i) else { break };
-                    done.push((i, analyze_one(&mut scratch, spec)));
-                }
-                done
-            };
-            for (i, result) in crate::pool::broadcast_collect(workers, &worker) {
-                results[i] = Some(result);
-            }
-            results
-                .into_iter()
-                .map(|r| r.expect("the shared counter covers every slot exactly once"))
-                .collect()
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let mut results: Vec<Option<Result<ReductionOutcome, CoreError>>> = Vec::new();
+    results.resize_with(specs.len(), || None);
+    let worker = |_worker_index: usize| {
+        let mut scratch = crate::ScratchReducer::new();
+        let mut done: Vec<(usize, Result<ReductionOutcome, CoreError>)> = Vec::new();
+        loop {
+            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let Some(spec) = specs.get(i) else { break };
+            done.push((i, analyze_one(&mut scratch, spec)));
         }
-        crate::pool::BatchMode::Sharded => {
-            // Each worker owns one contiguous shard and writes results
-            // straight into its slice — no shared counter, no index
-            // reshuffle on collection.
-            let mut results: Vec<BatchSlot> = Vec::new();
-            results.resize_with(specs.len(), || None);
-            let slots: Vec<std::sync::Mutex<&mut [BatchSlot]>> = {
-                let mut rest = results.as_mut_slice();
-                (0..workers)
-                    .map(|i| {
-                        let range = crate::pool::shard_range(specs.len(), workers, i);
-                        let (shard, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
-                        rest = tail;
-                        std::sync::Mutex::new(shard)
-                    })
-                    .collect()
-            };
-            crate::pool::broadcast_sharded(workers, specs.len(), &|i, shard| {
-                let mut scratch = crate::ScratchReducer::new();
-                let mut out = slots[i].lock().unwrap_or_else(|e| e.into_inner());
-                for (slot, spec) in out.iter_mut().zip(&specs[shard]) {
-                    *slot = Some(analyze_one(&mut scratch, spec));
-                }
-            });
-            drop(slots);
-            results
-                .into_iter()
-                .map(|r| r.expect("the shard ranges tile every slot exactly once"))
-                .collect()
-        }
+        done
+    };
+    for (i, result) in crate::pool::broadcast_collect(workers, &worker) {
+        results[i] = Some(result);
     }
+    results
+        .into_iter()
+        .map(|r| r.expect("the shared counter covers every slot exactly once"))
+        .collect()
 }
 
 /// The per-sample verdicts of an empirical confluence check.
@@ -663,7 +452,7 @@ impl fmt::Display for ConfluenceReport {
 /// Production paths now run repeated reductions through a
 /// [`ScratchReducer`](crate::ScratchReducer) on an immutable graph; this
 /// survives as the regression harness for
-/// [`restore_edge`](SequencingGraph::restore_edge)'s counter maintenance.
+/// [`restore_edge`](SequencingGraph::restore_edge)'s state-word maintenance.
 #[cfg(test)]
 pub(crate) fn run_and_rewind(graph: &mut SequencingGraph, strategy: Strategy) -> ReductionOutcome {
     let owned = std::mem::replace(
@@ -687,9 +476,7 @@ pub(crate) fn run_and_rewind(graph: &mut SequencingGraph, strategy: Strategy) ->
 /// The graph is built once and never mutated: every sample runs through a
 /// reusable [`ScratchReducer`](crate::ScratchReducer), so the per-sample
 /// cost is the reduction itself with no per-sample allocation, cloning or
-/// rewinding. The sampled verdicts are byte-identical to the former
-/// rewind-based loop (the scratch engine reproduces [`Reducer`]'s traces
-/// exactly).
+/// rewinding.
 ///
 /// # Errors
 ///
@@ -757,9 +544,8 @@ pub fn confluence_check_cached(
 
 /// Runs [`confluence_check_cached`] over a whole corpus, fanning the
 /// per-spec experiments across the persistent [`pool`](crate::pool)
-/// workers under the process-wide
-/// [`batch_mode`](crate::pool::batch_mode). Results are returned in input
-/// order and are independent of worker count and batch mode (each
+/// workers, which pull specs from a shared atomic counter. Results are
+/// returned in input order and are independent of worker count (each
 /// per-spec experiment is deterministic in its seeds).
 pub fn confluence_sweep(
     specs: &[trustseq_model::ExchangeSpec],
@@ -773,23 +559,12 @@ pub fn confluence_sweep(
     }
     let results: Vec<std::sync::Mutex<Option<Result<ConfluenceReport, CoreError>>>> =
         specs.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    match crate::pool::batch_mode() {
-        crate::pool::BatchMode::Stealing => {
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            crate::pool::broadcast(workers, &|_index| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(spec) = specs.get(i) else { break };
-                *results[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(check(spec));
-            });
-        }
-        crate::pool::BatchMode::Sharded => {
-            crate::pool::broadcast_sharded(workers, specs.len(), &|_index, shard| {
-                for i in shard {
-                    *results[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(check(&specs[i]));
-                }
-            });
-        }
-    }
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    crate::pool::broadcast(workers, &|_index| loop {
+        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let Some(spec) = specs.get(i) else { break };
+        *results[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(check(spec));
+    });
     results
         .into_iter()
         .map(|slot| {
@@ -852,6 +627,9 @@ mod tests {
         // §4.2.2: exactly four edges can be removed before the impasse.
         assert_eq!(outcome.trace.len(), 4);
         assert_eq!(outcome.remaining_edges.len(), 10);
+        // The returned graph is the residual the outcome describes.
+        let live: Vec<_> = reduced.live_edges().map(|e| e.id).collect();
+        assert_eq!(live, outcome.remaining_edges);
         // The source-side commitments are committed; nothing else.
         let committed: Vec<_> = outcome.trace.commitment_order().collect();
         assert_eq!(committed.len(), 2);
@@ -998,6 +776,24 @@ mod tests {
         reducer.apply(mv).unwrap();
         // Reapplying the same move fails: the edge is dead.
         assert_eq!(reducer.apply(mv), Err(CoreError::InvalidMove(mv.edge)));
+    }
+
+    #[test]
+    fn out_of_range_moves_are_rejected() {
+        let (spec, _) = fixtures::example1();
+        let g = SequencingGraph::from_spec(&spec).unwrap();
+        let edge = EdgeId::new(10_000);
+        for rule in [Rule::CommitmentFringe, Rule::ConjunctionFringe] {
+            let mv = Move {
+                edge,
+                rule,
+                via_clause2: false,
+            };
+            assert_eq!(
+                Reducer::new(g.clone()).apply(mv),
+                Err(CoreError::InvalidMove(edge))
+            );
+        }
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //! graph, with zero steady-state heap allocations and a cache-friendly
 //! data layout.
 //!
-//! [`Reducer`](crate::Reducer) owns its graph and mutates it, which is the
-//! right shape for one-shot analysis and for callers that want the reduced
-//! graph back. Batch drivers — feasibility sweeps, confluence sampling,
-//! the simulation harness — reduce thousands of specs and want none of
-//! that: they need the verdict and the trace, and they need the per-spec
-//! constant factors to vanish.
+//! [`ScratchReducer`] is the one reduction engine behind every production
+//! path. [`Reducer`](crate::Reducer) runs it over the graph it owns (and
+//! replays the trace onto that graph when the caller wants the residual
+//! back); batch drivers — feasibility sweeps, confluence sampling, the
+//! analysis cache — keep one scratchpad per worker and reduce thousands
+//! of specs through it, so the per-spec constant factors vanish.
+//! [`Reducer::run_naive`](crate::Reducer::run_naive) is its oracle.
 //!
 //! # Data layout
 //!
@@ -17,15 +18,14 @@
 //! * **liveness** is a packed [`EdgeBitSet`] indexed by edge slot — the
 //!   remaining-edge scan walks `u64` words with `trailing_zeros` instead
 //!   of a byte-per-edge bitmap;
-//! * **candidate scoring** is a pair of bitsets (rule #1 / rule #2
-//!   eligibility) replacing the former `BinaryHeap<Candidate>`: selecting
-//!   the next move is a branch-light top-down word scan over
-//!   `rule1 | rule2` with `leading_zeros`, guided by a high-water word
-//!   hint, instead of pointer-chasing a heap;
+//! * **candidate scoring** is one interleaved bitset over two bits per
+//!   edge slot (rule #1 and rule #2 eligibility): selecting the next move
+//!   is a branch-light top-down word scan with `leading_zeros`, guided by
+//!   a high-water word hint;
 //! * **degrees and survivors** are packed per-node `u64` state words
 //!   (live degree in the high 32 bits, an XOR accumulator of live edge
-//!   slots in the low 32) copied verbatim from the graph's own caches:
-//!   one cache word per node carries both the fringe test and — when the
+//!   slots in the low 32) copied verbatim from the graph's own state
+//!   words: one word per node carries both the fringe test and — when the
 //!   degree is exactly 1 — the surviving edge slot, so fringe cascades
 //!   need no adjacency-row scan at all;
 //! * **clause-2 waivers** are packed into one more bitset (memcpy'd from
@@ -43,40 +43,32 @@
 //! commitment becoming degree-1 enables a move; degree 1→0 means the
 //! candidate itself was just removed), and rule #1's red pre-emption only
 //! ever lifts (red edges are removed, never added). So a move that is
-//! applicable stays applicable until its edge is removed. The heap engine
-//! needed pop-time revalidation only because it pushed candidates
-//! *blindly* (possibly still preempted) and kept stale duplicates; the
-//! bitset engine instead checks eligibility once at insert and clears a
-//! removed edge's candidate bits immediately, so **every set bit is a
-//! valid move** and the pop loop applies straight away.
+//! applicable stays applicable until its edge is removed. The engine
+//! checks eligibility once at insert and clears a removed edge's
+//! candidate bits immediately, so **every set bit is a valid move** and
+//! the pop loop applies straight away.
 //!
 //! # Trace equivalence
 //!
-//! Traces are byte-identical to [`Reducer`](crate::Reducer)'s for both
-//! strategies. The candidate bitsets pop in exactly the heap's
-//! `(edge id descending, rule #1 before rule #2)` order: the highest set
-//! bit of the fused word is the highest-id candidate, and at equal id the
-//! rule #1 bit is taken first — the same lexicographic `Candidate`
-//! ordering. At every step the heap's worklist is a superset of the valid
-//! moves containing all of them, and it discards invalid entries until
-//! the maximum valid one — which is exactly the maximum of the exact
-//! candidate sets — so the applied sequences coincide step for step
-//! (`via_clause2` is still computed at pop time, as the heap did). The
-//! randomized path reuses the same rescan-shuffle protocol with the same
-//! seeded RNG, so the `run_naive` oracle and every confluence report
-//! carry over unchanged. [`HeapScratchReducer`] retains the
-//! pointer-ordered PR-4 engine as a benchmarking baseline and secondary
-//! oracle.
+//! Traces are byte-identical to
+//! [`Reducer::run_naive`](crate::Reducer::run_naive)'s for both
+//! strategies. The deterministic rescan applies the applicable move with
+//! the largest edge id, rule #1 first on ties; with rule #1 at bit
+//! `2s + 1` and rule #2 at bit `2s`, the highest set candidate bit is
+//! that same move, because the set holds exactly the applicable moves
+//! (`via_clause2` is computed at pop time, as the rescan computes it at
+//! selection). The randomized path reuses the rescan-shuffle protocol
+//! with the same seeded RNG, so every confluence report carries over
+//! unchanged.
 
 use crate::bitset::{EdgeBitSet, WORD_BITS};
-use crate::graph::{CommitmentId, ConjunctionId, Edge, EdgeColor, EdgeId, SequencingGraph};
+use crate::graph::{CommitmentId, ConjunctionId, Edge, EdgeColor, SequencingGraph};
 use crate::obs;
-use crate::reduce::{record_reduction_metrics, Candidate, Move, ReductionOutcome, Strategy};
+use crate::reduce::{record_reduction_metrics, Move, ReductionOutcome, Strategy};
 use crate::trace::{ReductionStep, Rule};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::BinaryHeap;
 
 /// Reusable reduction state: run the reduction rules over `&SequencingGraph`
 /// without touching the graph, reusing every internal buffer across runs.
@@ -236,9 +228,8 @@ impl ScratchReducer {
         }
     }
 
-    /// [`run_into`](Self::run_into) returning a freshly allocated outcome —
-    /// the drop-in replacement for `Reducer::new(graph.clone()).run()` when
-    /// the caller needs to keep the result.
+    /// [`run_into`](Self::run_into) returning a freshly allocated outcome,
+    /// for callers that keep the result.
     pub fn run(&mut self, graph: &SequencingGraph, strategy: Strategy) -> ReductionOutcome {
         let mut out = ReductionOutcome::default();
         self.run_into(graph, strategy, &mut out);
@@ -301,9 +292,9 @@ impl ScratchReducer {
         self.cand_top = self.cand_top.max(w + 1);
     }
 
-    /// Peeks the maximum candidate in the heap's `(edge id, rule #1
-    /// first)` order: top-down word scan plus `leading_zeros` in the
-    /// first non-empty word. The interleaved layout makes plain bit
+    /// Peeks the maximum candidate in `(edge id, rule #1 first)` order:
+    /// top-down word scan plus `leading_zeros` in the first non-empty
+    /// word. The interleaved layout makes plain bit
     /// order *be* that order, so no fusing or tie-break is needed. The
     /// popped bit is not cleared here — [`apply`](Self::apply) clears
     /// the removed edge's whole candidate pair in one write.
@@ -326,8 +317,7 @@ impl ScratchReducer {
     /// the fully live graph (the batch-driver common case) the applicable
     /// sets are static graph structure, precomputed at construction and
     /// loaded here by memcpy; a partially reduced graph falls back to the
-    /// live-set word scan. (The heap seeded these in ascending-id scan
-    /// order; set membership is order-independent.)
+    /// live-set word scan.
     fn seed_worklist(&mut self, graph: &SequencingGraph) {
         let edges = graph.edges();
         if self.live_count == edges.len() {
@@ -471,11 +461,11 @@ impl ScratchReducer {
             "popped an inapplicable candidate at {}",
             removed.id
         );
-        // `via_clause2` reports pop-time pre-emption, exactly as the heap
-        // engine's revalidation did: an in-set rule #1 candidate is either
-        // unpreempted or waived, so `preempted && waiver` reduces to the
-        // waiver bit gating one pre-emption-flag load. The waiver bit is
-        // loaded once — the fringe cascade below is for the same
+        // `via_clause2` reports pop-time pre-emption, exactly as the naive
+        // rescan computes it at selection: an in-set rule #1 candidate is
+        // either unpreempted or waived, so `preempted && waiver` reduces to
+        // the waiver bit gating one pre-emption-flag load. The waiver bit
+        // is loaded once — the fringe cascade below is for the same
         // commitment.
         let waived = self.waivers.contains(removed.commitment.index());
         let via_clause2 = rule1 && waived && self.preempted.contains(slot);
@@ -999,317 +989,6 @@ impl RemovalLog {
     }
 }
 
-/// The PR-4 pointer-ordered scratch engine: a `BinaryHeap` worklist over a
-/// `Vec<bool>` liveness bitmap with `usize` degree counters.
-///
-/// Retained verbatim as the benchmarking baseline for the bitset/SoA
-/// [`ScratchReducer`] (the `hotpath` bench reduces the same corpus through
-/// both and `BENCH_hotpath.json` reports the ratio) and as a secondary
-/// equivalence oracle in the property tests. Not used by any production
-/// driver — prefer [`ScratchReducer`].
-#[derive(Debug, Default)]
-pub struct HeapScratchReducer {
-    alive: Vec<bool>,
-    commitment_live: Vec<usize>,
-    conjunction_live: Vec<usize>,
-    conjunction_live_red: Vec<usize>,
-    live_count: usize,
-    heap: BinaryHeap<Candidate>,
-    moves: Vec<Move>,
-}
-
-impl HeapScratchReducer {
-    /// Creates an empty scratchpad. Buffers grow on first use and are
-    /// retained afterwards.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Loads `graph`'s current liveness state into the scratch buffers,
-    /// clearing any previous run.
-    pub fn reset_for(&mut self, graph: &SequencingGraph) {
-        self.alive.clear();
-        self.alive.extend_from_slice(graph.alive_slice());
-        let (c_live, j_live, j_red) = graph.live_counter_slices();
-        self.commitment_live.clear();
-        self.commitment_live.extend_from_slice(c_live);
-        self.conjunction_live.clear();
-        self.conjunction_live.extend_from_slice(j_live);
-        self.conjunction_live_red.clear();
-        self.conjunction_live_red.extend_from_slice(j_red);
-        self.live_count = graph.live_edge_count();
-        self.heap.clear();
-        self.moves.clear();
-    }
-
-    /// Runs a maximal reduction of `graph` under `strategy`, writing the
-    /// outcome into `out` (whose buffers are reused).
-    pub fn run_into(
-        &mut self,
-        graph: &SequencingGraph,
-        strategy: Strategy,
-        out: &mut ReductionOutcome,
-    ) {
-        self.reset_for(graph);
-        out.trace.clear();
-        out.remaining_edges.clear();
-        let track = obs::enabled();
-        let mut worklist_peak = 0usize;
-        match strategy {
-            Strategy::Deterministic => {
-                self.seed_worklist(graph);
-                if track {
-                    worklist_peak = self.heap.len();
-                }
-                while let Some(cand) = self.heap.pop() {
-                    let Some(mv) = self.revalidate(graph, cand) else {
-                        continue;
-                    };
-                    let removed = *graph.edge(mv.edge);
-                    out.trace.push(self.remove(mv, removed));
-                    self.push_unlocked(graph, removed);
-                    if track {
-                        worklist_peak = worklist_peak.max(self.heap.len());
-                    }
-                }
-            }
-            Strategy::Randomized { seed } => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                loop {
-                    self.collect_moves(graph);
-                    if self.moves.is_empty() {
-                        break;
-                    }
-                    if track {
-                        worklist_peak = worklist_peak.max(self.moves.len());
-                    }
-                    self.moves.shuffle(&mut rng);
-                    let mv = self.moves[0];
-                    let removed = *graph.edge(mv.edge);
-                    out.trace.push(self.remove(mv, removed));
-                }
-            }
-        }
-        out.remaining_edges.extend(
-            graph
-                .edges()
-                .iter()
-                .filter(|e| self.alive[e.id.index()])
-                .map(|e| e.id),
-        );
-        out.feasible = out.remaining_edges.is_empty();
-        debug_assert_eq!(out.feasible, self.live_count == 0);
-        if track {
-            record_reduction_metrics(out, worklist_peak);
-        }
-    }
-
-    /// [`run_into`](Self::run_into) returning a freshly allocated outcome.
-    pub fn run(&mut self, graph: &SequencingGraph, strategy: Strategy) -> ReductionOutcome {
-        let mut out = ReductionOutcome::default();
-        self.run_into(graph, strategy, &mut out);
-        out
-    }
-
-    fn seed_worklist(&mut self, graph: &SequencingGraph) {
-        for e in graph.edges() {
-            if !self.alive[e.id.index()] {
-                continue;
-            }
-            if self.commitment_degree(graph, e.commitment) == 1 {
-                let preempted = self.preempted_by_red(graph, e.conjunction, e.id);
-                let waiver = graph.commitment(e.commitment).clause2_waiver;
-                if !preempted || waiver {
-                    self.heap.push(Candidate {
-                        edge: e.id,
-                        rule1: true,
-                    });
-                }
-            }
-            if self.conjunction_degree(graph, e.conjunction) == 1 {
-                self.heap.push(Candidate {
-                    edge: e.id,
-                    rule1: false,
-                });
-            }
-        }
-    }
-
-    fn collect_moves(&mut self, graph: &SequencingGraph) {
-        self.moves.clear();
-        for e in graph.edges() {
-            if !self.alive[e.id.index()] {
-                continue;
-            }
-            if self.commitment_degree(graph, e.commitment) == 1 {
-                let preempted = self.preempted_by_red(graph, e.conjunction, e.id);
-                let waiver = graph.commitment(e.commitment).clause2_waiver;
-                if !preempted || waiver {
-                    self.moves.push(Move {
-                        edge: e.id,
-                        rule: Rule::CommitmentFringe,
-                        via_clause2: preempted && waiver,
-                    });
-                }
-            }
-            if self.conjunction_degree(graph, e.conjunction) == 1 {
-                self.moves.push(Move {
-                    edge: e.id,
-                    rule: Rule::ConjunctionFringe,
-                    via_clause2: false,
-                });
-            }
-        }
-    }
-
-    fn revalidate(&self, graph: &SequencingGraph, cand: Candidate) -> Option<Move> {
-        if !self.alive[cand.edge.index()] {
-            return None;
-        }
-        let e = graph.edge(cand.edge);
-        if cand.rule1 {
-            if self.commitment_degree(graph, e.commitment) != 1 {
-                return None;
-            }
-            let preempted = self.preempted_by_red(graph, e.conjunction, e.id);
-            let waiver = graph.commitment(e.commitment).clause2_waiver;
-            if preempted && !waiver {
-                return None;
-            }
-            Some(Move {
-                edge: e.id,
-                rule: Rule::CommitmentFringe,
-                via_clause2: preempted && waiver,
-            })
-        } else {
-            if self.conjunction_degree(graph, e.conjunction) != 1 {
-                return None;
-            }
-            Some(Move {
-                edge: e.id,
-                rule: Rule::ConjunctionFringe,
-                via_clause2: false,
-            })
-        }
-    }
-
-    fn push_unlocked(&mut self, graph: &SequencingGraph, removed: Edge) {
-        if self.commitment_degree(graph, removed.commitment) == 1 {
-            let survivor = graph
-                .commitment_edge_ids(removed.commitment)
-                .iter()
-                .find(|e| self.alive[e.index()])
-                .expect("degree 1 means one live edge");
-            self.heap.push(Candidate {
-                edge: *survivor,
-                rule1: true,
-            });
-        }
-        if self.conjunction_degree(graph, removed.conjunction) == 1 {
-            let survivor = graph
-                .conjunction_edge_ids(removed.conjunction)
-                .iter()
-                .find(|e| self.alive[e.index()])
-                .expect("degree 1 means one live edge");
-            self.heap.push(Candidate {
-                edge: *survivor,
-                rule1: false,
-            });
-        }
-        if removed.color == EdgeColor::Red {
-            for eid in graph.conjunction_edge_ids(removed.conjunction) {
-                if !self.alive[eid.index()] {
-                    continue;
-                }
-                let e = graph.edge(*eid);
-                if self.commitment_degree(graph, e.commitment) == 1 {
-                    self.heap.push(Candidate {
-                        edge: e.id,
-                        rule1: true,
-                    });
-                }
-            }
-        }
-    }
-
-    fn remove(&mut self, mv: Move, removed: Edge) -> ReductionStep {
-        debug_assert!(self.alive[mv.edge.index()], "removing a dead edge");
-        self.alive[mv.edge.index()] = false;
-        self.live_count -= 1;
-        self.commitment_live[removed.commitment.index()] -= 1;
-        self.conjunction_live[removed.conjunction.index()] -= 1;
-        if removed.color == EdgeColor::Red {
-            self.conjunction_live_red[removed.conjunction.index()] -= 1;
-        }
-        ReductionStep {
-            edge: mv.edge,
-            rule: mv.rule,
-            via_clause2: mv.via_clause2,
-            disconnected_commitment: (self.commitment_live[removed.commitment.index()] == 0)
-                .then_some(removed.commitment),
-            disconnected_conjunction: (self.conjunction_live[removed.conjunction.index()] == 0)
-                .then_some(removed.conjunction),
-        }
-    }
-
-    fn commitment_degree(&self, graph: &SequencingGraph, id: CommitmentId) -> usize {
-        let cached = self.commitment_live[id.index()];
-        debug_assert_eq!(
-            cached,
-            graph
-                .commitment_edge_ids(id)
-                .iter()
-                .filter(|e| self.alive[e.index()])
-                .count(),
-            "stale scratch commitment_live counter at {id}"
-        );
-        cached
-    }
-
-    fn conjunction_degree(&self, graph: &SequencingGraph, id: ConjunctionId) -> usize {
-        let cached = self.conjunction_live[id.index()];
-        debug_assert_eq!(
-            cached,
-            graph
-                .conjunction_edge_ids(id)
-                .iter()
-                .filter(|e| self.alive[e.index()])
-                .count(),
-            "stale scratch conjunction_live counter at {id}"
-        );
-        cached
-    }
-
-    fn preempted_by_red(
-        &self,
-        graph: &SequencingGraph,
-        conjunction: ConjunctionId,
-        except: EdgeId,
-    ) -> bool {
-        let mut reds = self.conjunction_live_red[conjunction.index()];
-        if let Some(e) = graph.edges().get(except.index()) {
-            if self.alive[except.index()]
-                && e.color == EdgeColor::Red
-                && e.conjunction == conjunction
-            {
-                reds -= 1;
-            }
-        }
-        let preempted = reds > 0;
-        debug_assert_eq!(
-            preempted,
-            graph
-                .conjunction_edge_ids(conjunction)
-                .iter()
-                .filter(|e| self.alive[e.index()])
-                .map(|e| graph.edge(*e))
-                .any(|e| e.color == EdgeColor::Red && e.id != except),
-            "stale scratch conjunction_live_red counter at {conjunction}"
-        );
-        preempted
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1329,49 +1008,27 @@ mod tests {
     }
 
     #[test]
-    fn matches_owning_reducer_deterministic() {
+    fn matches_naive_oracle_deterministic() {
         let mut scratch = ScratchReducer::new();
         let mut out = ReductionOutcome::default();
         for graph in fixture_graphs() {
             scratch.run_into(&graph, Strategy::Deterministic, &mut out);
-            let reference = Reducer::new(graph.clone()).run();
-            assert_eq!(out, reference);
-            // And against the rescan oracle.
             assert_eq!(out, Reducer::new(graph).run_naive());
         }
     }
 
     #[test]
-    fn matches_owning_reducer_randomized() {
+    fn matches_naive_oracle_randomized() {
         let mut scratch = ScratchReducer::new();
         let mut out = ReductionOutcome::default();
         for graph in fixture_graphs() {
             for seed in 0..8 {
                 let strategy = Strategy::Randomized { seed };
                 scratch.run_into(&graph, strategy, &mut out);
-                let reference = Reducer::new(graph.clone()).with_strategy(strategy).run();
+                let reference = Reducer::new(graph.clone())
+                    .with_strategy(strategy)
+                    .run_naive();
                 assert_eq!(out, reference, "seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn matches_heap_scratch_engine() {
-        // The retained PR-4 engine and the bitset/SoA engine agree on
-        // every fixture under both strategies.
-        let mut bitset = ScratchReducer::new();
-        let mut heap = HeapScratchReducer::new();
-        let mut a = ReductionOutcome::default();
-        let mut b = ReductionOutcome::default();
-        for graph in fixture_graphs() {
-            bitset.run_into(&graph, Strategy::Deterministic, &mut a);
-            heap.run_into(&graph, Strategy::Deterministic, &mut b);
-            assert_eq!(a, b);
-            for seed in 0..4 {
-                let strategy = Strategy::Randomized { seed };
-                bitset.run_into(&graph, strategy, &mut a);
-                heap.run_into(&graph, strategy, &mut b);
-                assert_eq!(a, b, "seed {seed}");
             }
         }
     }
@@ -1401,7 +1058,6 @@ mod tests {
         assert!(out.feasible);
         assert_eq!(out.trace.len(), partial.live_edge_count());
         // The partial graph exercises the packed (non-full) reset path.
-        let heap = HeapScratchReducer::new().run(&partial, Strategy::Deterministic);
-        assert_eq!(out, heap);
+        assert_eq!(out, Reducer::new(partial).run_naive());
     }
 }

@@ -3,8 +3,8 @@
 //! [`ScratchReducer::run_into`] loop over pre-built graphs must perform
 //! **zero** heap allocations per spec. Since the raw-speed pass this is
 //! the bitset/SoA engine: live edges and candidates live in reused
-//! `u64`-word bitsets and degree counters in reused `u32` vectors, so the
-//! property covers every one of those buffers.
+//! `u64`-word bitsets and packed degree state words in reused `u64`
+//! vectors, so the property covers every one of those buffers.
 //!
 //! Kept in its own integration-test binary because the counting
 //! `#[global_allocator]` is process-global: any unrelated test running in

@@ -254,27 +254,15 @@ pub fn chaos_sweep_cached(
         cells.iter().map(|_| Mutex::new(None)).collect();
     let workers = trustseq_core::pool::size().clamp(1, cells.len().max(1));
     // Per-cell results land in indexed slots and are merged in cell order
-    // below, so the report is byte-identical under either batch mode.
-    match trustseq_core::pool::batch_mode() {
-        trustseq_core::BatchMode::Stealing => {
-            let next = AtomicUsize::new(0);
-            trustseq_core::pool::broadcast(workers, &|_index| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(drop, seed)) = cells.get(i) else {
-                    break;
-                };
-                *results[i].lock() = Some(run_cell(drop, seed));
-            });
-        }
-        trustseq_core::BatchMode::Sharded => {
-            trustseq_core::pool::broadcast_sharded(workers, cells.len(), &|_index, shard| {
-                for i in shard {
-                    let (drop, seed) = cells[i];
-                    *results[i].lock() = Some(run_cell(drop, seed));
-                }
-            });
-        }
-    }
+    // below, so the report does not depend on how workers claimed cells.
+    let next = AtomicUsize::new(0);
+    trustseq_core::pool::broadcast(workers, &|_index| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(&(drop, seed)) = cells.get(i) else {
+            break;
+        };
+        *results[i].lock() = Some(run_cell(drop, seed));
+    });
 
     let mut report = ChaosReport::default();
     for slot in results {

@@ -133,14 +133,12 @@ pub fn defection_patterns(
 
 /// Runs every defection pattern (capped at `max_runs`) and collects safety
 /// violations. Runs are distributed over `threads` worker indices on the
-/// persistent [`trustseq_core::pool`] — no per-sweep thread spawns — under
-/// the process-wide [`batch_mode`](trustseq_core::pool::batch_mode):
-/// either pulling patterns from a shared atomic counter (work stealing, so
-/// one slow pattern cannot idle the other workers) or walking one
-/// contiguous pattern shard per worker (shard affinity, no shared counter
-/// in the loop). The report is byte-identical either way — violations are
-/// sorted after the merge — and each per-pattern simulation borrows its
-/// behaviour map, so the hot loop allocates nothing per sample.
+/// persistent [`trustseq_core::pool`] — no per-sweep thread spawns — and
+/// workers pull patterns from a shared atomic counter, so one slow pattern
+/// cannot idle the other workers. The report does not depend on the
+/// interleaving — violations are sorted after the merge — and each
+/// per-pattern simulation borrows its behaviour map, so the hot loop
+/// allocates nothing per sample.
 ///
 /// # Errors
 ///
@@ -180,27 +178,16 @@ pub fn sweep(
         }
     };
     let threads = threads.max(1).min(runs.max(1));
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-        || match trustseq_core::pool::batch_mode() {
-            trustseq_core::BatchMode::Stealing => {
-                let next = std::sync::atomic::AtomicUsize::new(0);
-                trustseq_core::pool::broadcast(threads, &|_index| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(behaviors) = patterns.get(i) else {
-                        break;
-                    };
-                    run_one(behaviors);
-                });
-            }
-            trustseq_core::BatchMode::Sharded => {
-                trustseq_core::pool::broadcast_sharded(threads, runs, &|_index, shard| {
-                    for behaviors in &patterns[shard] {
-                        run_one(behaviors);
-                    }
-                });
-            }
-        },
-    ))
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        trustseq_core::pool::broadcast(threads, &|_index| loop {
+            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let Some(behaviors) = patterns.get(i) else {
+                break;
+            };
+            run_one(behaviors);
+        });
+    }))
     .map_err(|_| SimError::WorkerPanicked)?;
 
     if let Some(e) = error.into_inner() {

@@ -7,7 +7,7 @@
 //! grows linearly with the corpus. The streaming driver caps residency at
 //! one *chunk*: it generates `chunk_len` specs into a reused buffer,
 //! analyzes the chunk through the regular batch machinery (so worker
-//! fan-out, the analysis cache and the batch mode all apply unchanged),
+//! fan-out and the analysis cache apply unchanged),
 //! folds the verdicts into running statistics, and reuses the buffer for
 //! the next chunk. A corpus 10×, 1000×, any× larger than the chunk budget
 //! completes in the same peak memory — the property the `hotpath` bench
@@ -51,11 +51,11 @@ impl StreamReport {
 /// without materializing the corpus: at most `chunk_len` specs are
 /// resident at any point. Analysis runs through
 /// [`trustseq_core::analyze_batch_cached`], so the persistent worker
-/// pool, the process-wide [`BatchMode`](trustseq_core::BatchMode) and the
-/// optional shared cache behave exactly as in the materialized driver.
+/// pool and the optional shared cache behave exactly as in the
+/// materialized driver.
 ///
 /// The report is a pure function of `config` and `samples` — independent
-/// of `chunk_len`, worker count, batch mode and cache (equality with the
+/// of `chunk_len`, worker count and cache (equality with the
 /// materialized [`feasibility_rate`](crate::feasibility_rate) is property
 /// tested).
 ///

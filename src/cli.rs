@@ -110,9 +110,6 @@ OPTIONS:
     --threads N       worker threads for sweep fan-out (defection sweeps,
                       batch analysis); defaults to the machine's available
                       parallelism
-    --sharded         fan batches out as contiguous per-worker shards
-                      (cache-affine) instead of work-stealing; results are
-                      byte-identical in either mode
     --samples N       with `sweep`: corpus size, seeds 0..N (default 1000)
     --stream CHUNK    with `sweep`: bounded-memory streaming mode — generate,
                       analyze and fold CHUNK specs at a time instead of
@@ -614,7 +611,7 @@ pub fn run_dist_sockets(
 /// batch; with `chunk = Some(n)` it streams through
 /// [`trustseq_workloads::sweep_streaming`], holding at most `n` specs
 /// resident regardless of corpus size. Both paths honour the process-wide
-/// worker pool and batch mode, and both report the same rate.
+/// worker pool, and both report the same rate.
 ///
 /// # Errors
 ///
@@ -1355,7 +1352,6 @@ pub fn main_with_args(args: &[String]) -> Result<String, String> {
         match arg.as_str() {
             "--extended" => options = trustseq_core::BuildOptions::EXTENDED,
             "--cache-stats" => cache_stats = true,
-            "--sharded" => trustseq_core::pool::set_batch_mode(trustseq_core::BatchMode::Sharded),
             "--samples" => {
                 let raw = iter
                     .next()
@@ -2452,27 +2448,6 @@ mod tests {
         assert!(parse_agent_id("3").is_err());
         assert!(parse_agent_id("e1").is_err());
         assert!(parse_agent_id("a").is_err());
-    }
-
-    #[test]
-    fn sharded_flag_selects_the_batch_mode() {
-        // `--sharded` flips the process-wide batch mode; every fan-out path
-        // is byte-identical in either mode, so the sweep rate is unchanged.
-        let stealing = main_with_args(&["sweep".into(), "--samples".into(), "20".into()]).unwrap();
-        let sharded = main_with_args(&[
-            "--sharded".into(),
-            "sweep".into(),
-            "--samples".into(),
-            "20".into(),
-        ])
-        .unwrap();
-        assert_eq!(stealing, sharded);
-        assert_eq!(
-            trustseq_core::pool::batch_mode(),
-            trustseq_core::BatchMode::Sharded
-        );
-        // Restore the default for any test sharing this process.
-        trustseq_core::pool::set_batch_mode(trustseq_core::BatchMode::Stealing);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Property-based equivalence tests for the raw-speed pass: the
-//! bitset/SoA scratch engine must reproduce the naive rescan oracle and
-//! the PR-4 heap-worklist scratch engine *byte-for-byte* (full traces, not
-//! just verdicts), sharded batch fan-out must be indistinguishable from
-//! work-stealing, and the bounded-memory streaming sweep must fold to
-//! exactly the materialized driver's statistics.
+//! bitset/SoA scratch engine must reproduce the naive rescan oracle
+//! *byte-for-byte* (full traces, not just verdicts), multi-worker batch
+//! fan-out must be indistinguishable from serial analysis, and the
+//! bounded-memory streaming sweep must fold to exactly the materialized
+//! driver's statistics.
 
 use proptest::prelude::*;
 use trustseq::core::{
-    analyze_batch_with, BatchMode, HeapScratchReducer, Reducer, ScratchReducer, SequencingGraph,
+    analyze, analyze_batch_with, Reducer, ScratchReducer, SequencingGraph,
     Strategy as ReduceStrategy,
 };
 use trustseq::workloads::{
@@ -31,16 +31,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// One bitset/SoA scratch reducer reused across differently-shaped
-    /// random graphs reproduces the naive rescan oracle and the
-    /// heap-worklist scratch engine byte-for-byte — deterministic and
-    /// randomized, on original and randomly relabelled graphs alike.
+    /// random graphs reproduces the naive rescan oracle byte-for-byte —
+    /// deterministic and randomized, on original and randomly relabelled
+    /// graphs alike.
     #[test]
-    fn bitset_trace_matches_naive_and_heap_oracles(
+    fn bitset_trace_matches_naive_oracle(
         config in arb_config(),
         perm_seed in any::<u64>(),
     ) {
         let mut bitset = ScratchReducer::new();
-        let mut heap = HeapScratchReducer::new();
         for offset in 0..3u64 {
             let ex = random_exchange(&RandomConfig {
                 seed: config.seed.wrapping_add(offset),
@@ -50,22 +49,22 @@ proptest! {
             for graph in [graph.permuted(perm_seed), graph] {
                 let naive = Reducer::new(graph.clone()).run_naive();
                 prop_assert_eq!(&bitset.run(&graph, ReduceStrategy::Deterministic), &naive);
-                prop_assert_eq!(&heap.run(&graph, ReduceStrategy::Deterministic), &naive);
                 for seed in 0..2u64 {
                     let strategy = ReduceStrategy::Randomized { seed };
-                    let expected = Reducer::new(graph.clone()).with_strategy(strategy).run();
+                    let expected = Reducer::new(graph.clone())
+                        .with_strategy(strategy)
+                        .run_naive();
                     prop_assert_eq!(&bitset.run(&graph, strategy), &expected);
-                    prop_assert_eq!(&heap.run(&graph, strategy), &expected);
                 }
             }
         }
     }
 
-    /// Shard-affinity batch fan-out returns exactly what work-stealing
-    /// returns, spec for spec, across worker counts that exercise empty
-    /// shards, remainder shards and the serial fallback.
+    /// Work-stealing batch fan-out returns exactly what serial `analyze`
+    /// returns, spec for spec, across worker counts below, at and above
+    /// the batch size, including the serial fallback.
     #[test]
-    fn sharded_batches_match_stealing_batches(config in arb_config()) {
+    fn batches_match_serial_analyze(config in arb_config()) {
         let specs: Vec<_> = (0..7u64)
             .map(|offset| {
                 random_exchange(&RandomConfig {
@@ -76,14 +75,13 @@ proptest! {
             })
             .collect();
         for workers in [1usize, 2, 3, 8, 16] {
-            let stealing = analyze_batch_with(&specs, None, workers, BatchMode::Stealing);
-            let sharded = analyze_batch_with(&specs, None, workers, BatchMode::Sharded);
-            prop_assert_eq!(stealing.len(), specs.len());
-            for (a, b) in stealing.iter().zip(&sharded) {
-                match (a, b) {
-                    (Ok(x), Ok(y)) => prop_assert_eq!(x, y),
+            let batch = analyze_batch_with(&specs, None, workers);
+            prop_assert_eq!(batch.len(), specs.len());
+            for (spec, result) in specs.iter().zip(&batch) {
+                match (result, analyze(spec)) {
+                    (Ok(x), Ok(y)) => prop_assert_eq!(x, &y),
                     (Err(x), Err(y)) => prop_assert_eq!(x.to_string(), y.to_string()),
-                    _ => prop_assert!(false, "stealing and sharded verdicts disagree"),
+                    _ => prop_assert!(false, "batch and serial verdicts disagree"),
                 }
             }
         }

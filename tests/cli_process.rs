@@ -56,11 +56,51 @@ fn check_command_on_all_samples() {
     }
 }
 
+/// The §5 execution sequence of Example #1, step for step. The order
+/// follows the deterministic reduction trace, so any change to which move
+/// the engine picks first shows up here.
 #[test]
 fn sequence_command_prints_ten_steps() {
     let (ok, stdout, _) = trustseq(&["sequence", "specs/example1.tseq"]);
     assert!(ok);
-    assert_eq!(stdout.lines().count(), 10);
+    assert_eq!(
+        stdout,
+        "  1. p sends doc to t2
+  2. t2 notifies b
+  3. c sends $100.00 to t1
+  4. t1 notifies b
+  5. b sends $80.00 to t2
+  6. t2 sends doc to b
+  7. t2 sends $80.00 to p
+  8. b sends doc to t1
+  9. t1 sends doc to c
+ 10. t1 sends $100.00 to b
+"
+    );
+}
+
+/// Example #2's §4.2.2 impasse: the verdict line, then the residual graph
+/// that the owning reducer hands back after replaying its trace.
+#[test]
+fn check_command_prints_the_example2_impasse() {
+    let (ok, stdout, _) = trustseq(&["check", "specs/example2.tseq"]);
+    assert!(ok);
+    assert_eq!(
+        stdout,
+        "infeasible: 10 edges remain after 4 reductions
+sequencing graph: 8 commitments, 7 conjunctions, 10/14 edges live
+  e0 [black] : (a0--a5 d0 buyer) -- and[a0]
+  e1 [black] : (a0--a5 d0 buyer) -- and[a5]
+  e2 [red] : (a1--a5 d0 seller) -- and[a1]
+  e3 [black] : (a1--a5 d0 seller) -- and[a5]
+  e4 [black] : (a1--a6 d1 buyer) -- and[a1]
+  e7 [black] : (a0--a7 d2 buyer) -- and[a0]
+  e8 [black] : (a0--a7 d2 buyer) -- and[a7]
+  e9 [red] : (a2--a7 d2 seller) -- and[a2]
+  e10 [black] : (a2--a7 d2 seller) -- and[a7]
+  e11 [black] : (a2--a8 d3 buyer) -- and[a2]
+"
+    );
 }
 
 #[test]

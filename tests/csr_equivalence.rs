@@ -1,9 +1,9 @@
 //! Property-based equivalence tests for the CSR-arena graph layout and the
-//! reusable scratch reducer: on random workloads, the CSR-backed
-//! incremental engine, the naive rescan oracle, and the zero-allocation
-//! scratch engine must produce *byte-identical* reduction outcomes
-//! (including the step-by-step trace), and the scratch-based confluence
-//! check must report exactly what per-sample fresh reducers report.
+//! reusable scratch reducer: on random workloads, the owning reducer, a
+//! reused zero-allocation scratch reducer and the naive rescan oracle
+//! must produce *byte-identical* reduction outcomes (including the
+//! step-by-step trace), and the scratch-based confluence check must
+//! report exactly what per-sample naive reductions report.
 
 use proptest::prelude::*;
 use trustseq::core::{
@@ -28,9 +28,9 @@ fn arb_config() -> impl Strategy<Value = RandomConfig> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The CSR adjacency preserves per-node edge order, so the incremental
-    /// worklist engine's trace stays byte-identical to the naive rescan
-    /// oracle — on original and randomly relabelled graphs alike.
+    /// The CSR adjacency preserves per-node edge order, so the owning
+    /// reducer's trace stays byte-identical to the naive rescan oracle —
+    /// on original and randomly relabelled graphs alike.
     #[test]
     fn csr_worklist_trace_matches_naive_oracle(
         config in arb_config(),
@@ -49,8 +49,8 @@ proptest! {
     }
 
     /// One scratch reducer reused across differently-shaped random graphs
-    /// reproduces the owning reducer byte-for-byte, deterministic and
-    /// randomized, and never mutates the borrowed graph.
+    /// reproduces the naive rescan oracle byte-for-byte, deterministic
+    /// and randomized, and never mutates the borrowed graph.
     #[test]
     fn scratch_reducer_matches_owning_reducer(config in arb_config()) {
         let mut scratch = ScratchReducer::new();
@@ -62,32 +62,32 @@ proptest! {
             let graph = SequencingGraph::from_spec(&ex.spec).unwrap();
             let pristine = graph.clone();
             let out = scratch.run(&graph, ReduceStrategy::Deterministic);
-            prop_assert_eq!(&out, &Reducer::new(graph.clone()).run());
+            prop_assert_eq!(&out, &Reducer::new(graph.clone()).run_naive());
             for seed in 0..3u64 {
                 let strategy = ReduceStrategy::Randomized { seed };
                 let out = scratch.run(&graph, strategy);
                 prop_assert_eq!(
                     &out,
-                    &Reducer::new(graph.clone()).with_strategy(strategy).run()
+                    &Reducer::new(graph.clone()).with_strategy(strategy).run_naive()
                 );
             }
             prop_assert_eq!(&graph, &pristine);
         }
     }
 
-    /// The scratch-based confluence check reports exactly what a fresh
-    /// owning reducer per sample reports.
+    /// The scratch-based confluence check reports exactly what a naive
+    /// rescan per sample reports.
     #[test]
     fn scratch_confluence_matches_per_sample_fresh_reducers(config in arb_config()) {
         let ex = random_exchange(&config);
         let graph = SequencingGraph::from_spec(&ex.spec).unwrap();
         let samples = 6u64;
-        let reference_feasible = Reducer::new(graph.clone()).run().feasible;
+        let reference_feasible = Reducer::new(graph.clone()).run_naive().feasible;
         let disagreeing_seeds: Vec<u64> = (0..samples)
             .filter(|&seed| {
                 Reducer::new(graph.clone())
                     .with_strategy(ReduceStrategy::Randomized { seed })
-                    .run()
+                    .run_naive()
                     .feasible
                     != reference_feasible
             })

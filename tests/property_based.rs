@@ -48,11 +48,11 @@ proptest! {
         prop_assert_eq!(report.agreeing, report.samples);
     }
 
-    /// The incremental worklist engine reproduces the naive rescan engine's
-    /// *entire* outcome — the full step-by-step [`ReductionTrace`], the
-    /// verdict, and the surviving edges — on random federated topologies,
-    /// under both strategies. This is the byte-identity guarantee the
-    /// worklist optimisation is held to.
+    /// The owning reducer (the bitset scratch engine) reproduces the naive
+    /// rescan engine's *entire* outcome — the full step-by-step
+    /// [`ReductionTrace`], the verdict, and the surviving edges — on random
+    /// federated topologies, under both strategies. This is the
+    /// byte-identity guarantee the incremental engine is held to.
     #[test]
     fn worklist_outcome_matches_naive_oracle(
         config in arb_federated_config(),

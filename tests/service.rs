@@ -390,6 +390,13 @@ fn graceful_drain_answers_inflight_then_sheds_with_draining() {
         ..ServiceConfig::default()
     });
     let mut conn = connect(&addr);
+    // `run` may still be waiting for the shared worker pool while another
+    // test's server holds it; a shutdown before its accept loop starts
+    // would leave this connection unaccepted. One answered round trip
+    // proves the connection is being served before the drain is timed.
+    send(&mut conn, &ServiceRequest::Analyze { seq: 100, id: 0 });
+    let first = collect(&mut conn, 1, Duration::from_secs(20));
+    assert_eq!(first.len(), 1, "the server answers before the drain");
     for seq in 0..10u64 {
         send(&mut conn, &ServiceRequest::Analyze { seq, id: 0 });
     }
