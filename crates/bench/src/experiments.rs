@@ -735,7 +735,7 @@ pub fn e20_chaos_resilience() -> ExperimentReport {
             format!("{report}"),
             format!(
                 "all decided verdicts agree with the centralised reducer: {}",
-                report.verdict_mismatches == 0 && report.removal_set_mismatches == 0
+                report.wrong_verdicts == 0 && report.removal_set_mismatches == 0
             ),
             format!(
                 "fault-free runs byte-identical to the reliable engine: {}",

@@ -201,6 +201,13 @@ impl DeltaAnalyzer {
         self.scratch.remaining_live()
     }
 
+    /// Red edges among [`remaining_edges`](Self::remaining_edges). By
+    /// confluence the irreducible remainder, and so this count, depends on
+    /// the current graph alone.
+    pub fn remaining_red(&self) -> usize {
+        self.scratch.remaining_red(&self.graph)
+    }
+
     /// The evolving base graph (mutations go through
     /// [`apply`](Self::apply), never directly).
     pub fn graph(&self) -> &SequencingGraph {

@@ -50,9 +50,8 @@
 //!   `request_ns` histogram, admission outcomes
 //!   `rejected.{quota,overloaded,draining,malformed,unknown}`, plus
 //!   `enqueued`, `conns`, `proto_drops` (undecodable input →
-//!   disconnect), `slow_drops` (stalled partial frames → disconnect)
-//!   and `verdict_mismatch` (cache vs resident-analyzer cross-check —
-//!   any non-zero value is a bug). The event-stream protocol adds
+//!   disconnect) and `slow_drops` (stalled partial frames →
+//!   disconnect). The event-stream protocol adds
 //!   `events` (lifecycle `event` frames processed), `events_admitted`
 //!   (structures admitted hot by a `post` on an unseen id) and
 //!   `events_noop` (idempotent re-applications of a toggle already in

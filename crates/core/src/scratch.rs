@@ -679,6 +679,22 @@ impl ScratchReducer {
         self.live_count
     }
 
+    /// Number of live *red* edges remaining: the sum of the per-conjunction
+    /// red degrees, which removal and resurrection keep current. Checked
+    /// against a scan of the live set in debug builds.
+    pub(crate) fn remaining_red(&self, graph: &SequencingGraph) -> usize {
+        let red: u64 = self.conjunction_red_state.iter().map(|st| st >> 32).sum();
+        debug_assert_eq!(
+            red as usize,
+            self.live
+                .ones()
+                .filter(|&s| graph.edges()[s].color == EdgeColor::Red)
+                .count(),
+            "stale scratch conjunction red state counters"
+        );
+        red as usize
+    }
+
     /// Whether edge slot `s` is live in the scratch state.
     pub(crate) fn slot_is_live(&self, s: usize) -> bool {
         self.live.contains(s)

@@ -43,14 +43,13 @@
 //! payload and spec source legitimately contains `;` and newlines.
 //!
 //! `event` is the streaming sibling of `mutate`: the same marketplace
-//! lifecycle op, but answered from the structure's resident delta
-//! analyzer (no whole-graph re-reduction) and acknowledged with an
-//! `everdict` reply that carries the server's running order-sensitive
-//! FNV fold over the structure's verdict stream, so a client replaying
-//! the same schedule against a local mirror can audit agreement with a
-//! single integer compare. Its `id` field is a u64 — the event stream
-//! addresses the *growable* population (an `event post` on an unknown id
-//! admits a new structure while serving), not just the boot-time one.
+//! lifecycle op, acknowledged with an `everdict` reply that carries the
+//! server's running order-sensitive FNV fold over the structure's verdict
+//! stream, so a client replaying the same schedule against a local mirror
+//! can audit agreement with a single integer compare. Its `id` field is a
+//! u64 — the event stream addresses the *growable* population (an `event
+//! post` on an unknown id admits a new structure while serving), not just
+//! the boot-time one.
 //!
 //! [`FaultPlan`]: crate::FaultPlan
 //! [`FaultPlan::with_corrupt_per_mille`]: crate::FaultPlan::with_corrupt_per_mille
@@ -221,6 +220,17 @@ fn parse_edge(s: &str) -> Result<EdgeId, CodecError> {
         .ok_or_else(|| bad(s, "an edge id like e2"))
 }
 
+/// Parses `field` as `key=<number>` into the slot's own integer type, so a
+/// numeral too wide for a u32 slot is a typed error, never truncated.
+fn num<T: std::str::FromStr>(
+    field: Option<&str>,
+    key: &'static str,
+    expected: &'static str,
+) -> Result<T, CodecError> {
+    let v = expect_field(field, key, expected)?;
+    v.parse().map_err(|_| bad(v, expected))
+}
+
 /// Splits `field` as `key=value` and checks the key.
 fn expect_field<'a>(
     field: Option<&'a str>,
@@ -368,21 +378,13 @@ impl Packet {
                 }
             }
             "status" => {
-                fn num(
-                    field: Option<&str>,
-                    key: &'static str,
-                    expected: &'static str,
-                ) -> Result<u64, CodecError> {
-                    let v = expect_field(field, key, expected)?;
-                    v.parse().map_err(|_| bad(v, "a non-negative number"))
-                }
                 let from = expect_field(fields.next(), "from", "from=<agent>")?;
                 let from = parse_agent(from)?;
                 let tick = num(fields.next(), "tick", "tick=<u64>")?;
-                let live = num(fields.next(), "live", "live=<u32>")? as u32;
-                let proposals = num(fields.next(), "props", "props=<u32>")? as u32;
-                let unacked = num(fields.next(), "unacked", "unacked=<u32>")? as u32;
-                let abandoned = num(fields.next(), "abandoned", "abandoned=<u32>")? as u32;
+                let live = num(fields.next(), "live", "live=<u32>")?;
+                let proposals = num(fields.next(), "props", "props=<u32>")?;
+                let unacked = num(fields.next(), "unacked", "unacked=<u32>")?;
+                let abandoned = num(fields.next(), "abandoned", "abandoned=<u32>")?;
                 let dead_field = expect_field(fields.next(), "dead", "dead=<edges>")?;
                 let mut dead = Vec::new();
                 if !dead_field.is_empty() {
@@ -711,7 +713,8 @@ pub struct ServiceStats {
     pub queue_depth: u32,
     /// Connections currently open.
     pub connections: u32,
-    /// Analysis-cache hits served so far.
+    /// Analysis-cache hits so far (`analyzespec` lookups; resident
+    /// structures are answered off their analyzers and never probe it).
     pub cache_hits: u64,
     /// Analysis-cache misses (fresh reductions) so far.
     pub cache_misses: u64,
@@ -818,14 +821,6 @@ impl ServiceReply {
 
     /// Decodes a frame produced by [`to_wire`](Self::to_wire).
     pub fn from_wire(frame: &str) -> Result<Self, CodecError> {
-        fn num(
-            field: Option<&str>,
-            key: &'static str,
-            expected: &'static str,
-        ) -> Result<u64, CodecError> {
-            let v = expect_field(field, key, expected)?;
-            v.parse().map_err(|_| bad(v, "a non-negative number"))
-        }
         let mut fields = frame.split(';');
         let tag = fields.next().unwrap_or_default();
         let reply = match tag {
@@ -837,8 +832,8 @@ impl ServiceReply {
                     "1" => true,
                     _ => return Err(bad(feasible, "feasible 0 or 1")),
                 };
-                let remaining = num(fields.next(), "remaining", "remaining=<u32>")? as u32;
-                let remaining_red = num(fields.next(), "red", "red=<u32>")? as u32;
+                let remaining = num(fields.next(), "remaining", "remaining=<u32>")?;
+                let remaining_red = num(fields.next(), "red", "red=<u32>")?;
                 ServiceReply::Verdict {
                     seq,
                     feasible,
@@ -854,7 +849,7 @@ impl ServiceReply {
                     "1" => true,
                     _ => return Err(bad(feasible, "feasible 0 or 1")),
                 };
-                let remaining = num(fields.next(), "remaining", "remaining=<u32>")? as u32;
+                let remaining = num(fields.next(), "remaining", "remaining=<u32>")?;
                 let hash = num(fields.next(), "hash", "hash=<u64>")?;
                 ServiceReply::EventVerdict {
                     seq,
@@ -865,11 +860,11 @@ impl ServiceReply {
             }
             "svcstats" => {
                 let seq = num(fields.next(), "seq", "seq=<u64>")?;
-                let structures = num(fields.next(), "structures", "structures=<u32>")? as u32;
+                let structures = num(fields.next(), "structures", "structures=<u32>")?;
                 let accepted = num(fields.next(), "accepted", "accepted=<u64>")?;
                 let rejected = num(fields.next(), "rejected", "rejected=<u64>")?;
-                let queue_depth = num(fields.next(), "queue", "queue=<u32>")? as u32;
-                let connections = num(fields.next(), "conns", "conns=<u32>")? as u32;
+                let queue_depth = num(fields.next(), "queue", "queue=<u32>")?;
+                let connections = num(fields.next(), "conns", "conns=<u32>")?;
                 let cache_hits = num(fields.next(), "hits", "hits=<u64>")?;
                 let cache_misses = num(fields.next(), "misses", "misses=<u64>")?;
                 ServiceReply::Stats {
@@ -1285,5 +1280,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The u32-truncation regression: a numeral past `u32::MAX` in a u32
+    /// slot used to parse as a u64 and narrow with `as u32`, so
+    /// `remaining=2^32` decoded as 0 and `red=2^32 + 1` as 1.
+    #[test]
+    fn verdict_numerals_past_u32_are_rejected_not_truncated() {
+        let frame = "verdict;seq=1;feasible=1;remaining=4294967296;red=4294967297";
+        let err = ServiceReply::from_wire(frame).expect_err("a u32 slot overflowed");
+        assert_eq!(err.fragment, "4294967296");
+        assert_eq!(err.expected, "remaining=<u32>");
+        let max = "verdict;seq=1;feasible=1;remaining=4294967295;red=0";
+        assert_eq!(ServiceReply::from_wire(max).unwrap().to_wire(), max);
+    }
+
+    /// Same regression on the supervisor's status frame: `abandoned` is
+    /// the counter whose non-zero value taints an `infeasible` claim, and
+    /// `abandoned=2^32` used to decode as 0.
+    #[test]
+    fn status_numerals_past_u32_are_rejected_not_truncated() {
+        let frame = "status;from=a3;tick=42;live=3;props=0;unacked=1;abandoned=4294967296;\
+                     dead=e1;tx=10;rx=20;ftx=3;frx=4;rc=0;rtt=250";
+        let err = Packet::from_wire(frame).expect_err("a u32 slot overflowed");
+        assert_eq!(err.fragment, "4294967296");
+        assert_eq!(err.expected, "abandoned=<u32>");
+        let ok = frame.replace("abandoned=4294967296", "abandoned=4294967295");
+        assert_eq!(Packet::from_wire(&ok).unwrap().to_wire(), ok);
     }
 }

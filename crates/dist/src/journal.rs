@@ -328,7 +328,10 @@ impl JournalEvent {
         };
         Ok(match get("type")? {
             "run_start" => JournalEvent::RunStart {
-                version: num("v")? as u32,
+                version: u32::try_from(num("v")?).map_err(|_| JournalError {
+                    fragment: get("v").unwrap_or_default().to_string(),
+                    expected: "a u32 schema version",
+                })?,
                 plan: get("plan")?.to_string(),
                 config: get("config")?.to_string(),
                 extended: match get("extended")? {
@@ -740,6 +743,8 @@ mod tests {
             "{\"type\":\"restart\",\"round\":\"x\",\"node\":\"a1\"}",
             "{\"type\":\"removal\",\"round\":1,\"decider\":\"a0\",\"edge\":\"e1\",\"rule\":3}",
             "{\"type\":\"run_start\",\"v\":1,\"plan\":{},\"config\":\"\",\"spec\":\"\"}",
+            // The u32 schema version is rejected past u32::MAX, not truncated.
+            "{\"type\":\"run_start\",\"v\":4294967297,\"plan\":\"\",\"config\":\"\",\"extended\":false,\"spec\":\"\"}",
             "{\"type\":\"restart\" \"round\":5,\"node\":\"a1\"}",
             "{\"type\":\"restart\",\"round\":5,\"node\":\"a1\"} trailing",
         ] {

@@ -154,7 +154,10 @@ impl SuperviseConfig {
 
     /// Parses the wire form. Strict field order, no extras.
     pub fn from_wire(s: &str) -> Result<Self, SuperviseConfigParseError> {
-        fn field(part: Option<&str>, key: &'static str) -> Result<u64, SuperviseConfigParseError> {
+        fn field<T: std::str::FromStr>(
+            part: Option<&str>,
+            key: &'static str,
+        ) -> Result<T, SuperviseConfigParseError> {
             let err = |fragment: &str| SuperviseConfigParseError {
                 fragment: fragment.to_string(),
                 expected: key,
@@ -167,14 +170,14 @@ impl SuperviseConfig {
         }
         let mut parts = s.split(';');
         let config = SuperviseConfig {
-            tick_ms: field(parts.next(), "tick")?.max(1),
-            status_every: field(parts.next(), "status")?.max(1),
+            tick_ms: field::<u64>(parts.next(), "tick")?.max(1),
+            status_every: field::<u64>(parts.next(), "status")?.max(1),
             heartbeat_ms: field(parts.next(), "hb")?,
             connect_timeout_ms: field(parts.next(), "conn")?,
-            read_timeout_ms: field(parts.next(), "read")?.max(1),
-            reconnect_base_ms: field(parts.next(), "rbase")?.max(1),
+            read_timeout_ms: field::<u64>(parts.next(), "read")?.max(1),
+            reconnect_base_ms: field::<u64>(parts.next(), "rbase")?.max(1),
             reconnect_max_ms: field(parts.next(), "rmax")?,
-            max_attempts: field(parts.next(), "attempts")? as u32,
+            max_attempts: field(parts.next(), "attempts")?,
             ack_timeout_ms: field(parts.next(), "ack")?,
             settle_ms: field(parts.next(), "settle")?,
             stale_ms: field(parts.next(), "stale")?,
@@ -1269,7 +1272,9 @@ mod tests {
         let config = SuperviseConfig::default();
         let wire = config.to_wire();
         assert_eq!(SuperviseConfig::from_wire(&wire).unwrap(), config);
-        for bad in ["", "tick=5", "nope=1", &format!("{wire};extra=1")] {
+        // `attempts` is a u32: a wider numeral is rejected, not truncated.
+        let wide = wire.replace("attempts=8", "attempts=4294967304");
+        for bad in ["", "tick=5", "nope=1", &format!("{wire};extra=1"), &wide] {
             assert!(SuperviseConfig::from_wire(bad).is_err(), "{bad:?}");
         }
     }

@@ -307,3 +307,48 @@ proptest! {
         }
     }
 }
+
+/// Every u32 slot of the reply and status frames, as a frame template
+/// whose `{}` is that slot's numeral.
+const U32_SLOTS: [&str; 12] = [
+    "verdict;seq=1;feasible=0;remaining={};red=0",
+    "verdict;seq=1;feasible=0;remaining=0;red={}",
+    "everdict;seq=1;feasible=0;remaining={};hash=7",
+    "svcstats;seq=1;structures={};accepted=0;rejected=0;queue=0;conns=0;hits=0;misses=0",
+    "svcstats;seq=1;structures=0;accepted=0;rejected=0;queue={};conns=0;hits=0;misses=0",
+    "svcstats;seq=1;structures=0;accepted=0;rejected=0;queue=0;conns={};hits=0;misses=0",
+    "status;from=a1;tick=0;live={};props=0;unacked=0;abandoned=0;dead=;tx=0;rx=0;ftx=0;frx=0;rc=0;rtt=0",
+    "status;from=a1;tick=0;live=0;props={};unacked=0;abandoned=0;dead=;tx=0;rx=0;ftx=0;frx=0;rc=0;rtt=0",
+    "status;from=a1;tick=0;live=0;props=0;unacked={};abandoned=0;dead=;tx=0;rx=0;ftx=0;frx=0;rc=0;rtt=0",
+    "status;from=a1;tick=0;live=0;props=0;unacked=0;abandoned={};dead=;tx=0;rx=0;ftx=0;frx=0;rc=0;rtt=0",
+    "status;from=a1;tick=0;live=0;props=0;unacked=0;abandoned=0;dead=e{};tx=0;rx=0;ftx=0;frx=0;rc=0;rtt=0",
+    "status;from=a{};tick=0;live=0;props=0;unacked=0;abandoned=0;dead=;tx=0;rx=0;ftx=0;frx=0;rc=0;rtt=0",
+];
+
+/// Decodes `frame` as whichever codec owns its tag, re-encoding on success.
+fn decode_reencode(frame: &str) -> Option<String> {
+    if frame.starts_with("status;") {
+        Packet::from_wire(frame).ok().map(|p| p.to_wire())
+    } else {
+        ServiceReply::from_wire(frame).ok().map(|r| r.to_wire())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A numeral of 2^32 or more in a u32 slot is a typed error, never
+    /// narrowed and re-encoded as different text; every numeral that fits
+    /// decodes and re-encodes to the same frame.
+    #[test]
+    fn u32_slots_reject_wide_numerals(
+        slot in 0usize..U32_SLOTS.len(),
+        wide in (1u64 << 32)..=u64::MAX,
+        fits in any::<u32>(),
+    ) {
+        let wide_frame = U32_SLOTS[slot].replace("{}", &wide.to_string());
+        prop_assert_eq!(decode_reencode(&wide_frame), None, "{}", wide_frame);
+        let frame = U32_SLOTS[slot].replace("{}", &fits.to_string());
+        prop_assert_eq!(decode_reencode(&frame), Some(frame.clone()));
+    }
+}

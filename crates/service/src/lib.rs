@@ -1,7 +1,8 @@
 //! The always-on analysis service: a server that keeps a marketplace of
-//! sequencing structures resident — verdicts maintained incrementally,
-//! memoized in the shared [`AnalysisCache`](trustseq_core::AnalysisCache)
-//! — behind the length-prefixed framing of
+//! sequencing structures resident — verdicts maintained incrementally and
+//! read straight off each structure's analyzer, inline specs memoized in
+//! the shared [`AnalysisCache`](trustseq_core::AnalysisCache) — behind the
+//! length-prefixed framing of
 //! [`trustseq_dist::net`], plus the load generator that hammers and
 //! *verifies* it.
 //!

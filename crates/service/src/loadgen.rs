@@ -400,6 +400,7 @@ fn run_client(
     let send_ns: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
     let status: Arc<Vec<AtomicU8>> = Arc::new((0..n).map(|_| AtomicU8::new(PENDING)).collect());
     let remaining: Arc<Vec<AtomicU32>> = Arc::new((0..n).map(|_| AtomicU32::new(0)).collect());
+    let red: Arc<Vec<AtomicU32>> = Arc::new((0..n).map(|_| AtomicU32::new(0)).collect());
     let window = Arc::new((Mutex::new(0usize), Condvar::new()));
 
     start.wait();
@@ -414,6 +415,7 @@ fn run_client(
         let send_ns = Arc::clone(&send_ns);
         let status = Arc::clone(&status);
         let remaining = Arc::clone(&remaining);
+        let red = Arc::clone(&red);
         let window = Arc::clone(&window);
         let mut conn = conn;
         std::thread::spawn(move || {
@@ -471,6 +473,7 @@ fn run_client(
                                 Ordering::Relaxed,
                             );
                             remaining[seq].store(rem, Ordering::Relaxed);
+                            red[seq].store(remaining_red, Ordering::Relaxed);
                             match schedule[seq] {
                                 Entry::Analyze { id } | Entry::Mutate { id, .. } => {
                                     let h = hashes.entry(u64::from(id)).or_insert(FNV_OFFSET);
@@ -614,30 +617,24 @@ fn run_client(
                 continue;
             }
         }
-        let (id, expect_feasible, expect_remaining) = match *entry {
-            Entry::Analyze { id } => {
-                let m = &mirrors[&u64::from(id)];
-                (u64::from(id), m.feasible(), m.remaining_edges())
-            }
-            Entry::Mutate { id, op, slot } => {
-                let m = mirrors
-                    .get_mut(&u64::from(id))
-                    .expect("schedule only uses owned ids");
-                m.apply(market_op(op), slot as usize)
-                    .expect("schedule slots are in range");
-                (u64::from(id), m.feasible(), m.remaining_edges())
-            }
-            Entry::Event { id, op, slot } => {
-                let m = mirrors.get_mut(&id).expect("schedule only uses owned ids");
-                m.apply(market_op(op), slot as usize)
-                    .expect("schedule slots are in range");
-                (id, m.feasible(), m.remaining_edges())
-            }
+        let (id, op) = match *entry {
+            Entry::Analyze { id } => (u64::from(id), None),
+            Entry::Mutate { id, op, slot } => (u64::from(id), Some((op, slot))),
+            Entry::Event { id, op, slot } => (id, Some((op, slot))),
             Entry::Spec { .. } => continue, // compared against the template
         };
+        let m = mirrors.get_mut(&id).expect("schedule only uses owned ids");
+        if let Some((op, slot)) = op {
+            m.apply(market_op(op), slot as usize)
+                .expect("schedule slots are in range");
+        }
+        let (expect_feasible, expect_remaining) = (m.feasible(), m.remaining_edges());
         let got_feasible = s == FEASIBLE;
         let got_remaining = remaining[seq].load(Ordering::Relaxed) as usize;
-        if got_feasible != expect_feasible || got_remaining != expect_remaining {
+        // `everdict` carries no red count; `verdict` replies must match it.
+        let red_agrees = matches!(entry, Entry::Event { .. })
+            || red[seq].load(Ordering::Relaxed) as usize == m.remaining_red();
+        if got_feasible != expect_feasible || got_remaining != expect_remaining || !red_agrees {
             wrong += 1;
         }
         let h = expected_hashes.entry(id).or_insert(FNV_OFFSET);

@@ -12,7 +12,7 @@
 //!     ▼
 //!  ShardedQueue — bounded, one FIFO shard per worker, id % workers
 //!     ▼
-//!  workers (pool indices 1..=W): resident Stall + shared AnalysisCache
+//!  workers (pool indices 1..=W): resident Stalls; AnalysisCache for specs
 //!     │ batched replies, one write per connection per batch
 //!     ▼
 //!  writer half (shared Mutex<Conn> per connection, write deadline)
@@ -24,30 +24,28 @@
 //! mutation stream — the property the load generator's centralised-replay
 //! hash check rests on.
 //!
-//! `analyze`/`mutate` verdicts are answered from the shared
-//! [`AnalysisCache`]: the tier-1 labelled key covers the structure *and*
-//! its current waiver/liveness labels, so a mutation simply moves the
-//! structure to a different key and toggles that revisit earlier states
-//! become tier-1 hits again. No explicit invalidation is needed — stale
-//! entries can only waste space, never serve a wrong verdict, and the
-//! TTL-plus-segmented eviction added for this service bounds that waste. Every
-//! cache verdict is cross-checked against the resident incremental
-//! analyzer's; a mismatch trips `svc.verdict_mismatch` (and a debug
-//! assertion).
+//! Every request about a resident structure — `analyze`, `mutate` and
+//! `event` — is answered by one helper straight off the structure's
+//! resident incremental analyzer. A `mutate` or `event` op first maps onto
+//! the structure's event→delta toggles ([`Stall::apply`], which feeds
+//! [`GraphDelta`](trustseq_core::GraphDelta) batches to that analyzer).
+//! The §4.2 reduction is confluent, so the analyzer's irreducible
+//! remainder — `feasible`, `remaining` and `red` — is fixed by the graph
+//! alone: no canonicalisation, no cache probe, no cross-check. The load
+//! generator replays every such verdict off the clock against
+//! full-re-reduction mirrors instead.
 //!
-//! `event` requests take the streaming path instead: the op maps onto the
-//! structure's event→delta toggles ([`Stall::apply`], which feeds
-//! [`GraphDelta`](trustseq_core::GraphDelta) batches to the resident
-//! incremental analyzer) and the verdict is read straight off that
-//! analyzer — no canonicalisation, no cache probe. The cache entry keyed
-//! on the *pre-mutation* graph is evicted instead
-//! ([`AnalysisCache::invalidate_graph`]), so the state the structure just
-//! left cannot linger as dead weight. Each resident structure also folds
-//! its event-verdict stream into an order-sensitive FNV hash echoed in
-//! every `everdict` reply, and an `event post` addressed past the end of
-//! the population hot-admits new structures (up to
-//! [`ServiceConfig::max_structures`]) under the same generation law the
-//! load generator mirrors.
+//! `event` additionally folds each verdict into the structure's
+//! order-sensitive FNV hash, echoed in every `everdict` reply, and an
+//! `event post` addressed past the end of the population hot-admits new
+//! structures (up to [`ServiceConfig::max_structures`]) under the same
+//! generation law the load generator mirrors. `mutate` keeps its u32 id,
+//! never admits and never folds.
+//!
+//! The shared [`AnalysisCache`] serves `analyzespec` alone: anonymous
+//! specs have no resident analyzer, and canonical sharing lets
+//! label-isomorphic submissions reuse one reduction. Resident keys never
+//! enter it.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -58,7 +56,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, RwLock};
 use trustseq_core::{obs, pool, AnalysisCache, SequencingGraph};
 use trustseq_dist::net::{encode_frame, Addr, Conn, FrameDecoder, Listener};
-use trustseq_dist::{RejectReason, ServiceReply, ServiceRequest, ServiceStats};
+use trustseq_dist::{RejectReason, ServiceOp, ServiceReply, ServiceRequest, ServiceStats};
 use trustseq_workloads::{fnv_fold, MarketMode, MarketOp, RandomConfig, Stall, FNV_OFFSET};
 
 use crate::queue::ShardedQueue;
@@ -152,12 +150,12 @@ pub fn build_population(
 }
 
 /// Translates the wire op into the marketplace event vocabulary.
-pub fn market_op(op: trustseq_dist::ServiceOp) -> MarketOp {
+pub fn market_op(op: ServiceOp) -> MarketOp {
     match op {
-        trustseq_dist::ServiceOp::Accept => MarketOp::Accept,
-        trustseq_dist::ServiceOp::Cancel => MarketOp::Cancel,
-        trustseq_dist::ServiceOp::Post => MarketOp::Post,
-        trustseq_dist::ServiceOp::Expire => MarketOp::Expire,
+        ServiceOp::Accept => MarketOp::Accept,
+        ServiceOp::Cancel => MarketOp::Cancel,
+        ServiceOp::Post => MarketOp::Post,
+        ServiceOp::Expire => MarketOp::Expire,
     }
 }
 
@@ -173,7 +171,6 @@ struct Counters {
     conns_total: AtomicU64,
     proto_drops: AtomicU64,
     slow_drops: AtomicU64,
-    verdict_mismatch: AtomicU64,
     events_admitted: AtomicU64,
 }
 
@@ -675,13 +672,16 @@ fn worker_loop(shared: &Arc<Shared>, shard: usize) {
 fn process(shared: &Arc<Shared>, req: &ServiceRequest) -> ServiceReply {
     let span = obs::enabled().then(obs::Span::wall);
     let (reply, metric) = match req {
-        ServiceRequest::Analyze { seq, id } => (analyze(shared, *seq, *id), "svc.analyze"),
+        ServiceRequest::Analyze { seq, id } => (
+            resident_verdict(shared, *seq, u64::from(*id), None, false),
+            "svc.analyze",
+        ),
         ServiceRequest::Mutate { seq, id, op, slot } => (
-            mutate(shared, *seq, *id, market_op(*op), *slot as usize),
+            resident_verdict(shared, *seq, u64::from(*id), Some((*op, *slot)), false),
             "svc.mutate",
         ),
         ServiceRequest::Event { seq, id, op, slot } => (
-            event(shared, *seq, *id, market_op(*op), *slot as usize),
+            resident_verdict(shared, *seq, *id, Some((*op, *slot)), true),
             "svc.events",
         ),
         ServiceRequest::AnalyzeSpec { seq, spec } => (analyze_spec(shared, *seq, spec), "svc.spec"),
@@ -717,88 +717,57 @@ fn semantic_reject(shared: &Arc<Shared>, seq: u64, reason: RejectReason) -> Serv
     ServiceReply::Rejected { seq, reason }
 }
 
-/// Cache-served verdict for a resident structure, cross-checked against
-/// the resident incremental analyzer.
-fn verdict_of(shared: &Arc<Shared>, seq: u64, stall: &Stall) -> ServiceReply {
-    let cached = shared.cache.verdict(stall.graph());
-    if cached.feasible != stall.feasible() {
-        shared
-            .counters
-            .verdict_mismatch
-            .fetch_add(1, Ordering::Relaxed);
-        if obs::enabled() {
-            obs::with(|r| r.counter("svc.verdict_mismatch", 1));
-        }
-        debug_assert_eq!(
-            cached.feasible,
-            stall.feasible(),
-            "cache and resident analyzer disagree"
-        );
-    }
-    ServiceReply::Verdict {
-        seq,
-        feasible: cached.feasible,
-        remaining: cached.remaining_edges as u32,
-        remaining_red: cached.remaining_red,
-    }
-}
-
-fn analyze(shared: &Arc<Shared>, seq: u64, id: u32) -> ServiceReply {
-    match shared.resident(u64::from(id)) {
-        Some(resident) => verdict_of(shared, seq, &resident.lock().stall),
-        None => semantic_reject(shared, seq, RejectReason::UnknownStructure),
-    }
-}
-
-fn mutate(shared: &Arc<Shared>, seq: u64, id: u32, op: MarketOp, slot: usize) -> ServiceReply {
-    let Some(resident) = shared.resident(u64::from(id)) else {
-        return semantic_reject(shared, seq, RejectReason::UnknownStructure);
-    };
-    let mut resident = resident.lock();
-    match resident.stall.apply(op, slot) {
-        Ok(_changed) => verdict_of(shared, seq, &resident.stall),
-        Err(_) => semantic_reject(shared, seq, RejectReason::Malformed),
-    }
-}
-
-/// The streaming event path: the op drives the resident incremental
-/// analyzer through the structure's event→delta toggles and the verdict
-/// is read straight off it — no canonicalisation, no cache probe. The
-/// cache entry keyed on the pre-mutation graph is evicted instead, so the
-/// state the structure just left cannot linger. A `post` addressed past
-/// the current population end hot-admits structures up to the cap.
-fn event(shared: &Arc<Shared>, seq: u64, id: u64, op: MarketOp, slot: usize) -> ServiceReply {
+/// The one verdict path for resident structures (`analyze`, `mutate` and
+/// `event`): applies `op`, if any, through the structure's event→delta
+/// toggles, then reads the verdict straight off its resident analyzer.
+/// An `event` may hot-admit on `post` and folds its verdict into the
+/// structure's running hash.
+fn resident_verdict(
+    shared: &Arc<Shared>,
+    seq: u64,
+    id: u64,
+    op: Option<(ServiceOp, u32)>,
+    event: bool,
+) -> ServiceReply {
+    let op = op.map(|(op, slot)| (market_op(op), slot as usize));
     let resident = match shared.resident(id) {
         Some(resident) => Some(resident),
-        None if op == MarketOp::Post => shared.admit_structure(id),
+        None if event && matches!(op, Some((MarketOp::Post, _))) => shared.admit_structure(id),
         None => None,
     };
     let Some(resident) = resident else {
         return semantic_reject(shared, seq, RejectReason::UnknownStructure);
     };
     let mut resident = resident.lock();
-    // Delta-aware invalidation: the structure is about to leave this
-    // graph state, so its cached verdict is dead weight from here on.
-    shared.cache.invalidate_graph(resident.stall.graph());
-    match resident.stall.apply(op, slot) {
-        Ok(changed) => {
-            if !changed && obs::enabled() {
-                obs::with(|r| r.counter("svc.events_noop", 1));
+    if let Some((op, slot)) = op {
+        match resident.stall.apply(op, slot) {
+            Ok(changed) => {
+                if event && !changed && obs::enabled() {
+                    obs::with(|r| r.counter("svc.events_noop", 1));
+                }
             }
-            let feasible = resident.stall.feasible();
-            let remaining = resident.stall.remaining_edges() as u32;
-            resident.event_hash = fnv_fold(
-                fnv_fold(resident.event_hash, u64::from(feasible)),
-                u64::from(remaining),
-            );
-            ServiceReply::EventVerdict {
-                seq,
-                feasible,
-                remaining,
-                hash: resident.event_hash,
-            }
+            Err(_) => return semantic_reject(shared, seq, RejectReason::Malformed),
         }
-        Err(_) => semantic_reject(shared, seq, RejectReason::Malformed),
+    }
+    let feasible = resident.stall.feasible();
+    let remaining = resident.stall.remaining_edges() as u32;
+    if !event {
+        return ServiceReply::Verdict {
+            seq,
+            feasible,
+            remaining,
+            remaining_red: resident.stall.remaining_red() as u32,
+        };
+    }
+    resident.event_hash = fnv_fold(
+        fnv_fold(resident.event_hash, u64::from(feasible)),
+        u64::from(remaining),
+    );
+    ServiceReply::EventVerdict {
+        seq,
+        feasible,
+        remaining,
+        hash: resident.event_hash,
     }
 }
 

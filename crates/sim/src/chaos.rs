@@ -88,7 +88,7 @@ pub struct ChaosReport {
     /// Runs that degraded to an undecided verdict.
     pub undecided: usize,
     /// Decided verdicts disagreeing with the centralised reducer.
-    pub verdict_mismatches: usize,
+    pub wrong_verdicts: usize,
     /// Decided runs whose removal set differs from the centralised one,
     /// plus any run (decided or not) removing an edge the centralised
     /// reduction keeps.
@@ -111,7 +111,7 @@ pub struct ChaosReport {
 impl ChaosReport {
     /// `true` when every property held in every cell.
     pub fn clean(&self) -> bool {
-        self.verdict_mismatches == 0
+        self.wrong_verdicts == 0
             && self.removal_set_mismatches == 0
             && self.baseline_divergences == 0
     }
@@ -120,7 +120,7 @@ impl ChaosReport {
         self.runs += other.runs;
         self.decided += other.decided;
         self.undecided += other.undecided;
-        self.verdict_mismatches += other.verdict_mismatches;
+        self.wrong_verdicts += other.wrong_verdicts;
         self.removal_set_mismatches += other.removal_set_mismatches;
         self.baseline_divergences += other.baseline_divergences;
         self.retransmissions += other.retransmissions;
@@ -145,7 +145,7 @@ impl fmt::Display for ChaosReport {
             self.retransmissions,
             self.decode_failures,
             self.dedup_drops,
-            self.verdict_mismatches,
+            self.wrong_verdicts,
             self.removal_set_mismatches,
             self.baseline_divergences,
             self.max_rounds_seen
@@ -231,7 +231,7 @@ pub fn chaos_sweep_cached(
             Some(feasible) => {
                 cell.decided += 1;
                 if feasible != central.feasible {
-                    cell.verdict_mismatches += 1;
+                    cell.wrong_verdicts += 1;
                 }
                 if removal_set != central_set {
                     cell.removal_set_mismatches += 1;

@@ -291,6 +291,11 @@ impl Stall {
         self.analyzer.remaining_edges()
     }
 
+    /// Red edges among [`remaining_edges`](Self::remaining_edges).
+    pub fn remaining_red(&self) -> usize {
+        self.analyzer.remaining_red()
+    }
+
     /// The stall's live graph, in its current mutation state.
     pub fn graph(&self) -> &SequencingGraph {
         self.analyzer.graph()

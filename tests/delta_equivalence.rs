@@ -10,7 +10,10 @@
 //! [`indemnity_deltas`]: trustseq::core::SequencingGraph::indemnity_deltas
 
 use proptest::prelude::*;
-use trustseq::core::{CommitmentId, DeltaAnalyzer, EdgeId, GraphDelta, SequencingGraph};
+use trustseq::core::{
+    AnalysisCache, CommitmentId, DeltaAnalyzer, EdgeColor, EdgeId, GraphDelta, Reducer,
+    SequencingGraph,
+};
 use trustseq::workloads::{random_exchange, RandomConfig};
 
 fn arb_config() -> impl Strategy<Value = RandomConfig> {
@@ -82,6 +85,20 @@ fn drive_checked(
         // confluence makes the irreducible remainder unique.
         prop_assert_eq!(maintained, analyzer.remaining_edges() == 0);
         prop_assert_eq!(analyzer.remaining_edges(), oracle.remaining_edges());
+        // The red count of that unique remainder, against the naive
+        // oracle's residual and the canonicalising cache.
+        let graph = analyzer.graph();
+        let naive_red = Reducer::new(graph.clone())
+            .run_naive()
+            .remaining_edges
+            .iter()
+            .filter(|&&e| graph.edge(e).color == EdgeColor::Red)
+            .count();
+        prop_assert_eq!(analyzer.remaining_red(), naive_red);
+        prop_assert_eq!(
+            analyzer.remaining_red(),
+            AnalysisCache::new().verdict(graph).remaining_red as usize
+        );
         verdicts.push(maintained);
     }
     Ok(verdicts)

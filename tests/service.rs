@@ -671,3 +671,119 @@ fn event_stream_loadgen_with_hot_growth_verifies_three_ways() {
     let stats = shutdown(handle, serving);
     assert!(stats.accepted >= report.accepted, "server counted the work");
 }
+
+/// The server's analysis-cache lookups so far (`hits + misses`), read
+/// through a `stats` round trip.
+fn cache_lookups(conn: &mut Conn, seq: u64) -> u64 {
+    send(conn, &ServiceRequest::Stats { seq });
+    match collect(conn, 1, Duration::from_secs(5)).as_slice() {
+        [ServiceReply::Stats { stats, .. }] => stats.cache_hits + stats.cache_misses,
+        other => panic!("expected one stats reply, got {other:?}"),
+    }
+}
+
+#[test]
+fn resident_requests_never_touch_the_cache() {
+    let cfg = ServiceConfig {
+        structures: 4,
+        ..ServiceConfig::default()
+    };
+    let (seed, base) = (cfg.seed, cfg.base.clone());
+    let (addr, handle, serving) = spawn_server(cfg);
+    let mut conn = connect(&addr);
+    let before = cache_lookups(&mut conn, 1_000);
+
+    // Every structure gets analyze, mutate and event frames; each verdict
+    // is checked against a full-re-reduction mirror, `red` included. An op
+    // tagged `true` goes out as an `event`, `false` as a `mutate`.
+    let mut seq = 0u64;
+    for id in 0..4u32 {
+        let mut mirror = Stall::generate(seed + u64::from(id), &base, MarketMode::Full, None);
+        let mut ops = vec![None];
+        if mirror.pairs() > 0 {
+            ops.extend([
+                Some((ServiceOp::Accept, false)),
+                Some((ServiceOp::Cancel, true)),
+            ]);
+        }
+        if mirror.deals() > 0 {
+            ops.extend([
+                Some((ServiceOp::Post, true)),
+                Some((ServiceOp::Expire, false)),
+            ]);
+        }
+        for op in ops {
+            seq += 1;
+            let req = match op {
+                None => ServiceRequest::Analyze { seq, id },
+                Some((op, false)) => ServiceRequest::Mutate {
+                    seq,
+                    id,
+                    op,
+                    slot: 0,
+                },
+                Some((op, true)) => ServiceRequest::Event {
+                    seq,
+                    id: u64::from(id),
+                    op,
+                    slot: 0,
+                },
+            };
+            send(&mut conn, &req);
+            if let Some((op, _)) = op {
+                mirror.apply(market_op(op), 0).expect("slot 0 is in range");
+            }
+            let (feasible, remaining) = (mirror.feasible(), mirror.remaining_edges() as u32);
+            match collect(&mut conn, 1, Duration::from_secs(5)).as_slice() {
+                [ServiceReply::Verdict {
+                    seq: s,
+                    feasible: f,
+                    remaining: r,
+                    remaining_red,
+                }] => {
+                    assert_eq!((*s, *f, *r), (seq, feasible, remaining));
+                    assert_eq!(*remaining_red as usize, mirror.remaining_red());
+                }
+                [ServiceReply::EventVerdict {
+                    seq: s,
+                    feasible: f,
+                    remaining: r,
+                    ..
+                }] => assert_eq!((*s, *f, *r), (seq, feasible, remaining)),
+                other => panic!("expected one verdict for seq {seq}, got {other:?}"),
+            }
+        }
+    }
+    assert!(seq > 4, "the run mutated at least one structure");
+    assert_eq!(
+        cache_lookups(&mut conn, 1_001),
+        before,
+        "resident requests never probe the analysis cache"
+    );
+
+    send(
+        &mut conn,
+        &ServiceRequest::AnalyzeSpec {
+            seq: 2_000,
+            spec: include_str!("../specs/example1.tseq").to_string(),
+        },
+    );
+    let spec_reply = collect(&mut conn, 1, Duration::from_secs(5));
+    assert!(
+        matches!(
+            spec_reply.as_slice(),
+            [ServiceReply::Verdict {
+                seq: 2_000,
+                feasible: true,
+                ..
+            }]
+        ),
+        "{spec_reply:?}"
+    );
+    assert_eq!(
+        cache_lookups(&mut conn, 1_002),
+        before + 1,
+        "one analyzespec is one cache lookup"
+    );
+    shutdown(handle, serving);
+}
