@@ -558,8 +558,8 @@ impl Listener {
 
     /// The address this listener is actually bound to. For TCP this
     /// resolves port 0 to the kernel-assigned port, which is how the
-    /// in-process service tests and `loadgen --serve` discover where to
-    /// connect.
+    /// in-process service tests and `loadgen`'s in-process server discover
+    /// where to connect.
     pub fn local_addr(&self) -> io::Result<Addr> {
         match self {
             Listener::Tcp(l) => {

@@ -2,30 +2,39 @@
 //! and cost exchange specifications written in the specification language.
 //!
 //! Kept as a library module so the logic is unit- and integration-testable;
-//! `main.rs` is a thin wrapper.
+//! `main.rs` is a thin wrapper. Every command is declared once in
+//! `COMMANDS` and every flag once in `FLAGS`: one parser reads argv
+//! against them and rejects any flag the command does not read before
+//! anything runs, and [`USAGE`] is rendered from them.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::sync::LazyLock;
 use trustseq_baselines::cost_of_mistrust;
 use trustseq_core::indemnity::{make_feasible_cached, IndemnityPlan};
 use trustseq_core::obs::{self, MetricsRegistry};
-use trustseq_core::{dot, Protocol, SequencingGraph};
+use trustseq_core::{dot, AnalysisCache, BuildOptions, Protocol, SequencingGraph};
 use trustseq_dist::{
-    run_node, DistributedReduction, FaultPlan, Journal, JournalEvent, NetworkDescription,
+    run_node, Addr, DistributedReduction, FaultPlan, Journal, JournalEvent, NetworkDescription,
     ResilientConfig, RunObserver as _, SocketOutcome, SuperviseConfig,
 };
 use trustseq_lang::parse_spec;
 use trustseq_model::{AgentId, ExchangeSpec};
+use trustseq_service::{LoadgenConfig, LoadgenReport, ServiceConfig};
+use trustseq_workloads::{MarketConfig, MarketMode};
 
 use crate::orchestrate::{self, TransportKind};
 use trustseq_sim::BehaviorMap;
 
+/// A participant's name, or its raw id when the spec does not know it.
+fn participant_name(spec: &ExchangeSpec, a: AgentId) -> String {
+    spec.participant(a)
+        .map(|p| p.name().to_owned())
+        .unwrap_or_else(|_| format!("{a}"))
+}
+
 /// Renders an indemnity plan with participant names instead of raw ids.
 fn render_plan(out: &mut String, spec: &ExchangeSpec, plan: &IndemnityPlan) {
-    let name = |a| {
-        spec.participant(a)
-            .map(|p| p.name().to_owned())
-            .unwrap_or_else(|_| format!("{a}"))
-    };
+    let name = |a| participant_name(spec, a);
     let _ = writeln!(
         out,
         "indemnity plan for {} (total {}):",
@@ -69,219 +78,739 @@ pub enum Command {
 impl Command {
     /// Parses a subcommand name.
     pub fn parse(name: &str) -> Option<Command> {
-        Some(match name {
-            "check" => Command::Check,
-            "sequence" => Command::Sequence,
-            "protocol" => Command::Protocol,
-            "dot" => Command::Dot,
-            "simulate" => Command::Simulate,
-            "cost" => Command::Cost,
-            "indemnify" => Command::Indemnify,
-            "advise" => Command::Advise,
-            _ => return None,
+        COMMANDS.iter().find_map(|c| match &c.run {
+            Run::Spec(command) if c.name() == name => Some(command.clone()),
+            _ => None,
         })
     }
 }
 
-/// The usage text.
-pub const USAGE: &str = "\
-trustseq — trust-explicit distributed commerce transactions (ICDCS 1996)
+/// How a command runs.
+enum Run {
+    /// One of the eight commands that [`run`] a spec file.
+    Spec(Command),
+    Other(fn(&Invocation) -> Result<String, String>),
+}
 
-USAGE:
-    trustseq <COMMAND> [OPTIONS] <SPEC.tseq>
-    trustseq dist [--faults PLAN] [--journal PATH] [OPTIONS] <SPEC.tseq>
-    trustseq dist-run [--transport tcp|unix] [--faults PLAN] [--journal PATH] <SPEC.tseq>
-    trustseq dist-node --net <NET.txt> --id <AGENT> [--faults PLAN] <SPEC.tseq>
-    trustseq chaos-sockets [--out PATH] [--quick]
-    trustseq journal-replay [OPTIONS] <JOURNAL.jsonl>
-    trustseq sweep [--samples N] [--stream CHUNK] [OPTIONS]
-    trustseq market [--events N] [--mutation-rate R] [--delta|--full] [OPTIONS]
-    trustseq serve [--addr HOST:PORT] [--workers N] [--structures N] [--seed S]
-                   [--queue N] [--quota R] [--duration SECS]
-    trustseq loadgen [--addr HOST:PORT | --serve] [--clients N] [--requests N]
-                     [--mutation-rate R] [--spec-rate R] [--window N]
-                     [--events] [--grow N] [--quick] [--bench-out PATH]
+/// One command: its name and positional argument, e.g.
+/// `check <SPEC.tseq>`, its help line, and how it runs.
+struct CommandSpec {
+    usage: &'static str,
+    help: &'static str,
+    run: Run,
+}
 
-OPTIONS:
-    --extended        enable the \u{a7}9 shared-escrow delegation semantics
-                      (multi-party trusted agents)
-    --cache-stats     route feasibility analyses through a memoized
-                      analysis cache and print its hit/miss statistics
-    --threads N       worker threads for sweep fan-out (defection sweeps,
-                      batch analysis); defaults to the machine's available
-                      parallelism
-    --samples N       with `sweep`: corpus size, seeds 0..N (default 1000)
-    --stream CHUNK    with `sweep`: bounded-memory streaming mode — generate,
-                      analyze and fold CHUNK specs at a time instead of
-                      materializing the whole corpus
-    --events [N]      with `market`: number of marketplace events to stream
-                      (default 1000); with `loadgen` (bare, no count):
-                      event-stream mode — send lifecycle `event` frames,
-                      audited through their echoed verdict-stream hashes,
-                      instead of analyze/mutate/analyzespec traffic
-    --grow N          with `loadgen --events`: extra structures beyond
-                      `--structures` opened mid-run by `event post` frames,
-                      exercising hot population admission
-    --mutation-rate R with `market`: probability in [0, 1] that an event
-                      mutates a structure rather than re-certifying one
-                      (default 0.2)
-    --delta           with `market`: maintain verdicts incrementally with
-                      resident delta analyzers (the default)
-    --full            with `market`: recompute every verdict from scratch —
-                      the non-incremental baseline the delta engine is
-                      measured against
-    --metrics         record structured runtime metrics (reducer, cache,
-                      pool, distributed protocol) and print them afterwards
-    --metrics-format  `table` (default) or `json`; implies --metrics
-    --faults PLAN     fault-plan wire string for `dist`, e.g.
-                      \"seed=7;drop=200;dup=50;delay=2;corrupt=50\"
-    --journal PATH    with `dist`: write the run's replayable JSONL event
-                      journal to PATH; with `dist-run`: write an audit
-                      journal of the socket run (not byte-replayable)
-    --transport KIND  with `dist-run`: `tcp` (loopback TCP, default) or
-                      `unix` (Unix-domain sockets)
-    --net PATH        with `dist-node`: the shared network description file
-    --id AGENT        with `dist-node`: which principal this process runs,
-                      e.g. `a0`
-    --out PATH        with `chaos-sockets`: where to write the JSON report
-                      (default BENCH_sockets.json)
-    --quick           with `chaos-sockets` / `loadgen`: the small CI smoke
-                      profile
-    --addr HOST:PORT  with `serve`: the listen address (default
-                      127.0.0.1:7421); with `loadgen`: the server to hammer
-    --workers N       with `serve`: analysis workers (= queue shards,
-                      default 1)
-    --structures N    with `serve`/`loadgen`: resident marketplace
-                      population size (default 32; must match across the
-                      two commands)
-    --seed S          with `serve`/`loadgen`: population seed (default 42;
-                      must match across the two commands)
-    --queue N         with `serve`: bounded queue slots per worker shard
-                      (default 1024) — the backpressure surface
-    --quota R         with `serve`: per-connection token-bucket quota in
-                      requests/second (default 0 = unlimited)
-    --duration SECS   with `serve`: drain and exit after SECS seconds
-                      (default: serve until killed)
-    --clients N       with `loadgen`: concurrent client connections
-                      (default 4)
-    --requests N      with `loadgen`: total requests across all clients
-                      (default 1000000)
-    --spec-rate R     with `loadgen`: fraction of requests that are inline
-                      one-shot spec analyses (default 0.005)
-    --window N        with `loadgen`: max outstanding requests per client
-                      (default 64)
-    --serve           with `loadgen`: spin up an in-process server on an
-                      ephemeral port first (single-machine benchmarking)
-    --bench-out PATH  with `loadgen`: run the two-phase bench (sustained +
-                      2x overload, always in-process) and write the JSON
-                      report to PATH; with `--events`: the event-stream
-                      bench instead
+/// One flag: its name and value placeholder, e.g. `--workers N`, the
+/// commands that read it (every other command rejects it), how its value
+/// is read and stored, what leaving it out means, and its help line.
+struct Flag {
+    usage: &'static str,
+    scope: Scope,
+    kind: Kind,
+    default: &'static str,
+    help: &'static str,
+}
 
-COMMANDS:
-    check           decide feasibility (sequencing-graph reduction, §4)
-    sequence        print the synthesised execution sequence (§5)
-    protocol        print per-agent protocol instructions
-    dot             print Graphviz DOT for the interaction and sequencing graphs
-    simulate        run the protocol honestly, then sweep every defection pattern
-    cost            print the §8 cost-of-mistrust table
-    indemnify       plan minimal indemnities that make the exchange feasible (§6)
-    advise          list every unlocking option: trust edges (§4.2.3),
-                    indemnities (§6), shared-escrow delegation (§9)
-    dist            run the fault-tolerant distributed reduction (§9) under a
-                    seeded fault plan; optionally record an event journal
-    dist-run        run the distributed reduction as one OS process per
-                    principal over live loopback sockets, supervised from
-                    this process
-    dist-node       run a single principal's node against a network
-                    description (spawned by `dist-run`; usable manually)
-    chaos-sockets   run the multi-process chaos matrix (fault classes x
-                    fixtures x seeds) and write the agreement report
-    journal-replay  re-run a recorded journal and verify it reproduces
-                    byte-for-byte, then re-check the verdict centrally
-    sweep           measure the feasibility rate of a seeded random exchange
-                    corpus; `--stream` keeps peak memory at one chunk
-    market          stream a live marketplace: post/accept/cancel/expire
-                    events over a population of structures, re-certifying
-                    after every event (`--delta` incremental, `--full`
-                    from-scratch baseline)
-    serve           run the always-on analysis service: resident structures
-                    behind length-prefixed framing, admission control
-                    (quotas, bounded queue, write deadlines), graceful drain
-    loadgen         hammer a running `serve` with N pipelined clients and
-                    verify every verdict against a centralised replay;
-                    `--bench-out` runs the committed two-phase benchmark
-";
+/// The name is the usage text's first word; the rest is the argument.
+fn split_usage(usage: &'static str) -> (&'static str, &'static str) {
+    usage.split_once(' ').unwrap_or((usage, ""))
+}
 
-/// Runs a command against specification source text, returning the output.
+impl CommandSpec {
+    fn name(&self) -> &'static str {
+        split_usage(self.usage).0
+    }
+}
+
+/// Every command, in usage order.
+static COMMANDS: &[CommandSpec] = &[
+    CommandSpec {
+        usage: "check <SPEC.tseq>",
+        help: "decide feasibility (sequencing-graph reduction, §4)",
+        run: Run::Spec(Command::Check),
+    },
+    CommandSpec {
+        usage: "sequence <SPEC.tseq>",
+        help: "print the synthesised execution sequence (§5)",
+        run: Run::Spec(Command::Sequence),
+    },
+    CommandSpec {
+        usage: "protocol <SPEC.tseq>",
+        help: "print per-agent protocol instructions",
+        run: Run::Spec(Command::Protocol),
+    },
+    CommandSpec {
+        usage: "dot <SPEC.tseq>",
+        help: "print Graphviz DOT for the interaction and sequencing graphs",
+        run: Run::Spec(Command::Dot),
+    },
+    CommandSpec {
+        usage: "simulate <SPEC.tseq>",
+        help: "run the protocol honestly, then sweep every defection pattern",
+        run: Run::Spec(Command::Simulate),
+    },
+    CommandSpec {
+        usage: "cost <SPEC.tseq>",
+        help: "print the §8 cost-of-mistrust table",
+        run: Run::Spec(Command::Cost),
+    },
+    CommandSpec {
+        usage: "indemnify <SPEC.tseq>",
+        help: "plan minimal indemnities that make the exchange feasible (§6)",
+        run: Run::Spec(Command::Indemnify),
+    },
+    CommandSpec {
+        usage: "advise <SPEC.tseq>",
+        help: "list every unlocking option: trust edges (§4.2.3), indemnities (§6), \
+               shared-escrow delegation (§9)",
+        run: Run::Spec(Command::Advise),
+    },
+    CommandSpec {
+        usage: "dist <SPEC.tseq>",
+        help: "run the fault-tolerant distributed reduction (§9) under a seeded fault \
+               plan; optionally record an event journal",
+        run: Run::Other(cmd_dist),
+    },
+    CommandSpec {
+        usage: "dist-run <SPEC.tseq>",
+        help: "run the distributed reduction as one OS process per principal over \
+               live loopback sockets, supervised from this process",
+        run: Run::Other(cmd_dist_run),
+    },
+    CommandSpec {
+        usage: "dist-node <SPEC.tseq>",
+        help: "run a single principal's node against a network description (spawned \
+               by `dist-run`; usable manually)",
+        run: Run::Other(cmd_dist_node),
+    },
+    CommandSpec {
+        usage: "chaos-sockets",
+        help: "run the multi-process chaos matrix (fault classes x fixtures x seeds) \
+               and write the agreement report",
+        run: Run::Other(cmd_chaos_sockets),
+    },
+    CommandSpec {
+        usage: "journal-replay <JOURNAL.jsonl>",
+        help: "re-run a recorded journal and verify it reproduces byte-for-byte, then \
+               re-check the verdict centrally",
+        run: Run::Other(|inv| run_journal_replay(&read(&inv.path)?)),
+    },
+    CommandSpec {
+        usage: "sweep",
+        help: "measure the feasibility rate of a seeded random exchange corpus",
+        run: Run::Other(|inv| run_sweep(inv.samples, inv.stream, inv.cache.as_ref())),
+    },
+    CommandSpec {
+        usage: "market",
+        help: "stream a live marketplace: post/accept/cancel/expire events over a \
+               population of structures, re-certifying after every event",
+        run: Run::Other(cmd_market),
+    },
+    CommandSpec {
+        usage: "serve",
+        help: "run the always-on analysis service: resident structures behind \
+               length-prefixed framing, admission control (quotas, bounded queue, \
+               write deadlines), graceful drain",
+        run: Run::Other(cmd_serve),
+    },
+    CommandSpec {
+        usage: "loadgen",
+        help: "hammer a running `serve` with pipelined clients and verify every \
+               verdict against a centralised replay, or run the committed benchmark",
+        run: Run::Other(cmd_loadgen),
+    },
+];
+
+/// The commands that read a flag, as space-separated command names.
+#[derive(Clone, Copy)]
+enum Scope {
+    Only(&'static str),
+    AllBut(&'static str),
+}
+
+impl Scope {
+    fn includes(self, command: &str) -> bool {
+        match self {
+            Only(names) => names.split(' ').any(|n| n == command),
+            AllBut(names) => !names.split(' ').any(|n| n == command),
+        }
+    }
+}
+
+impl fmt::Display for Scope {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Only(names) => write!(f, "{}", names.replace(' ', ", ")),
+            AllBut("") => write!(f, "every command"),
+            AllBut(names) => write!(f, "every command but {}", names.replace(' ', ", ")),
+        }
+    }
+}
+
+/// How a flag's value is read, with the setter that stores it.
+#[derive(Clone, Copy)]
+enum Kind {
+    Switch(fn(&mut Invocation)),
+    /// An integer in `1..=max`; `noun` says what it counts.
+    Count {
+        noun: &'static str,
+        max: usize,
+        set: fn(&mut Invocation, usize),
+    },
+    /// A positive count, consumed only when the next token starts with a
+    /// digit, so the flag also works bare (`None`).
+    OptionalCount(&'static str, fn(&mut Invocation, Option<usize>)),
+    Probability(fn(&mut Invocation, f64)),
+    /// A finite, non-negative rate.
+    Rate(fn(&mut Invocation, f64)),
+    Seed(fn(&mut Invocation, u64)),
+    /// A path or an address.
+    Text(fn(&mut Invocation, String)),
+    Plan(fn(&mut Invocation, FaultPlan)),
+    /// One of a fixed set of words; the setter gets the word's index.
+    Choice(&'static [&'static str], fn(&mut Invocation, usize)),
+}
+
+use Kind::{Choice, Count, OptionalCount, Plan, Probability, Rate, Seed, Switch, Text};
+use Scope::{AllBut, Only};
+
+/// A positive count without an upper bound.
+const fn count(noun: &'static str, set: fn(&mut Invocation, usize)) -> Kind {
+    Count {
+        noun,
+        max: usize::MAX,
+        set,
+    }
+}
+
+const NO_METRICS: &str = "dist-node chaos-sockets";
+
+/// Every flag, in usage order.
+static FLAGS: &[Flag] = &[
+    Flag {
+        usage: "--extended",
+        scope: Only("check sequence protocol dot simulate dist"),
+        kind: Switch(|a| a.options = BuildOptions::EXTENDED),
+        default: "",
+        help: "enable the §9 shared-escrow delegation semantics (multi-party trusted agents)",
+    },
+    Flag {
+        usage: "--cache-stats",
+        scope: Only("check sequence protocol dot simulate cost indemnify advise sweep market"),
+        kind: Switch(|a| a.cache = Some(AnalysisCache::new())),
+        default: "",
+        help: "route feasibility analyses through a memoized cache; print its hit/miss statistics",
+    },
+    Flag {
+        usage: "--threads N",
+        scope: AllBut(""),
+        kind: Count {
+            noun: "thread count",
+            max: trustseq_core::pool::MAX_WIDTH,
+            set: |a, n| a.threads = Some(n),
+        },
+        default: "the machine's available parallelism",
+        help: "worker threads for sweep fan-out (defection sweeps, batch analysis)",
+    },
+    Flag {
+        usage: "--metrics",
+        scope: AllBut(NO_METRICS),
+        kind: Switch(|a| a.metrics = a.metrics.or(Some(MetricsFormat::Table))),
+        default: "",
+        help: "record runtime metrics (reducer, cache, pool, protocol) and print them after",
+    },
+    Flag {
+        usage: "--metrics-format",
+        scope: AllBut(NO_METRICS),
+        kind: Choice(&["table", "json"], |a, i| {
+            a.metrics = Some([MetricsFormat::Table, MetricsFormat::Json][i]);
+        }),
+        default: "table",
+        help: "how to print the recorded metrics; implies recording them",
+    },
+    Flag {
+        usage: "--faults PLAN",
+        scope: Only("dist dist-run dist-node"),
+        kind: Plan(|a, plan| a.faults = plan),
+        default: "",
+        help: "seeded fault plan, e.g. \"seed=7;drop=200;dup=50;delay=2;corrupt=50\"",
+    },
+    Flag {
+        usage: "--journal PATH",
+        scope: Only("dist dist-run"),
+        kind: Text(|a, path| a.journal = Some(path)),
+        default: "",
+        help: "write the run's JSONL event journal (dist-run's is an audit, not replayable)",
+    },
+    Flag {
+        usage: "--transport",
+        scope: Only("dist-run"),
+        kind: Choice(&["tcp", "unix"], |a, i| {
+            a.transport = Some([TransportKind::Tcp, TransportKind::Unix][i]);
+        }),
+        default: "tcp",
+        help: "loopback TCP or Unix-domain sockets",
+    },
+    Flag {
+        usage: "--net NET.txt",
+        scope: Only("dist-node"),
+        kind: Text(|a, path| a.net = Some(path)),
+        default: "",
+        help: "the shared network description file (required)",
+    },
+    Flag {
+        usage: "--id AGENT",
+        scope: Only("dist-node"),
+        kind: Text(|a, id| a.id = Some(id)),
+        default: "",
+        help: "which principal this process runs, e.g. `a0` (required)",
+    },
+    Flag {
+        usage: "--out PATH",
+        scope: Only("chaos-sockets"),
+        kind: Text(|a, path| a.out = Some(path)),
+        default: "BENCH_sockets.json",
+        help: "where to write the JSON report",
+    },
+    Flag {
+        usage: "--quick",
+        scope: Only("chaos-sockets loadgen"),
+        kind: Switch(|a| a.quick = true),
+        default: "",
+        help: "the small CI smoke profile",
+    },
+    Flag {
+        usage: "--samples N",
+        scope: Only("sweep"),
+        kind: count("corpus size", |a, n| a.samples = n as u64),
+        default: "1000",
+        help: "corpus size: seeds 0..N",
+    },
+    Flag {
+        usage: "--stream CHUNK",
+        scope: Only("sweep"),
+        kind: count("chunk size", |a, n| a.stream = Some(n)),
+        default: "materialize the whole corpus",
+        help: "bounded memory: generate, analyze and fold CHUNK specs at a time",
+    },
+    Flag {
+        usage: "--events [N]",
+        scope: Only("market loadgen"),
+        kind: OptionalCount("event count", |a, n| match n {
+            Some(n) => (a.market.events, a.counted_events) = (n as u64, true),
+            None => a.loadgen.events = true,
+        }),
+        default: "1000 with market",
+        help: "market: how many marketplace events to stream; loadgen (bare): send \
+               lifecycle `event` frames, audited through their echoed verdict-stream \
+               hashes, instead of analyze/mutate/analyzespec traffic",
+    },
+    Flag {
+        usage: "--mutation-rate R",
+        scope: Only("market loadgen"),
+        kind: Probability(|a, r| (a.market.mutation_rate, a.loadgen.mutation_rate) = (r, r)),
+        default: "0.2 with market, 0.1 with loadgen",
+        help: "probability that an event or request mutates a structure, not re-certifies it",
+    },
+    Flag {
+        usage: "--delta",
+        scope: Only("market"),
+        kind: Switch(|a| a.delta = true),
+        default: "",
+        help: "maintain verdicts incrementally with resident delta analyzers (the default)",
+    },
+    Flag {
+        usage: "--full",
+        scope: Only("market"),
+        kind: Switch(|a| a.full = true),
+        default: "",
+        help: "recompute every verdict from scratch: the baseline the delta engine beats",
+    },
+    Flag {
+        usage: "--addr HOST:PORT",
+        scope: Only("serve loadgen"),
+        kind: Text(|a, addr| a.addr = Some(addr)),
+        default: "127.0.0.1:7421 for serve, an in-process server for loadgen",
+        help: "serve: the listen address; loadgen: the server to hammer",
+    },
+    Flag {
+        usage: "--workers N",
+        scope: Only("serve"),
+        kind: count("worker count", |a, n| a.service.workers = n),
+        default: "1",
+        help: "analysis workers (= queue shards)",
+    },
+    Flag {
+        usage: "--structures N",
+        scope: Only("serve loadgen"),
+        kind: count("population size", |a, n| {
+            (a.service.structures, a.loadgen.structures) = (n, n);
+        }),
+        default: "32",
+        help: "resident marketplace population size; must match across the two commands",
+    },
+    Flag {
+        usage: "--seed S",
+        scope: Only("serve loadgen"),
+        kind: Seed(|a, s| (a.service.seed, a.loadgen.seed) = (s, s)),
+        default: "42",
+        help: "population seed; must match across the two commands",
+    },
+    Flag {
+        usage: "--queue N",
+        scope: Only("serve"),
+        kind: count("slot count", |a, n| a.service.queue_capacity = n),
+        default: "1024",
+        help: "bounded queue slots per worker shard: the backpressure surface",
+    },
+    Flag {
+        usage: "--quota R",
+        scope: Only("serve"),
+        kind: Rate(|a, r| a.service.quota_rate = r),
+        default: "0, unlimited",
+        help: "per-connection token-bucket quota in requests/second",
+    },
+    Flag {
+        usage: "--duration SECS",
+        scope: Only("serve"),
+        kind: count("number of seconds", |a, n| a.duration = Some(n as u64)),
+        default: "serve until killed",
+        help: "drain and exit after SECS seconds",
+    },
+    Flag {
+        usage: "--clients N",
+        scope: Only("loadgen"),
+        kind: count("client count", |a, n| a.clients = Some(n)),
+        default: "4, or 2 in the quick profile",
+        help: "concurrent client connections",
+    },
+    Flag {
+        usage: "--requests N",
+        scope: Only("loadgen"),
+        kind: count("request count", |a, n| a.requests = Some(n as u64)),
+        default: "1000000, or 40000 in the quick profile",
+        help: "total requests across all clients",
+    },
+    Flag {
+        usage: "--spec-rate R",
+        scope: Only("loadgen"),
+        kind: Probability(|a, r| a.loadgen.spec_rate = r),
+        default: "0.005",
+        help: "fraction of requests that are inline one-shot spec analyses",
+    },
+    Flag {
+        usage: "--window N",
+        scope: Only("loadgen"),
+        kind: count("window size", |a, n| a.loadgen.window = n),
+        default: "64",
+        help: "max outstanding requests per client",
+    },
+    Flag {
+        usage: "--grow N",
+        scope: Only("loadgen"),
+        kind: count("structure count", |a, n| a.loadgen.grow = n),
+        default: "none, or a quarter of the population in the event-stream bench",
+        help: "event-stream mode: structures past the resident population, opened \
+               mid-run by `event post` frames to exercise hot admission",
+    },
+    Flag {
+        usage: "--bench-out PATH",
+        scope: Only("loadgen"),
+        kind: Text(|a, path| a.bench_out = Some(path)),
+        default: "",
+        help: "run the committed benchmark against an in-process server and write its \
+               JSON report: sustained plus 2x overload, or the event-stream bench",
+    },
+];
+
+impl Flag {
+    fn name(&self) -> &'static str {
+        split_usage(self.usage).0
+    }
+
+    /// What the value must be, for error texts.
+    fn expects(&self) -> String {
+        match self.kind {
+            Count { noun, max, .. } if max < usize::MAX => format!("a {noun} between 1 and {max}"),
+            Count { noun, .. } | OptionalCount(noun, _) => format!("a positive {noun}"),
+            Probability(_) => "a probability in [0, 1]".to_owned(),
+            Rate(_) => "a finite, non-negative rate".to_owned(),
+            Seed(_) => "an unsigned seed".to_owned(),
+            Plan(_) => "a fault-plan wire string".to_owned(),
+            Choice(words, _) => format!("`{}`", words.join("` or `")),
+            Switch(_) | Text(_) => split_usage(self.usage).1.to_owned(),
+        }
+    }
+
+    /// Reads this flag's value, if it takes one, from `tokens` into `inv`.
+    fn read(
+        &self,
+        tokens: &mut std::iter::Peekable<std::slice::Iter<'_, String>>,
+        inv: &mut Invocation,
+    ) -> Result<(), String> {
+        let name = self.name();
+        let raw = match self.kind {
+            Switch(set) => {
+                set(inv);
+                return Ok(());
+            }
+            OptionalCount(_, set) => {
+                match tokens.next_if(|t| t.starts_with(|c: char| c.is_ascii_digit())) {
+                    Some(raw) => raw,
+                    None => {
+                        set(inv, None);
+                        return Ok(());
+                    }
+                }
+            }
+            _ => tokens
+                .next()
+                .ok_or_else(|| format!("`{name}` expects {}", self.expects()))?,
+        };
+        let bad = || {
+            let mut err = format!("`{name}` expects {}, got `{raw}`", self.expects());
+            if !self.default.is_empty() {
+                let omit = match self.kind {
+                    OptionalCount(..) => "count",
+                    _ => "flag",
+                };
+                let _ = write!(err, "; omit the {omit} for the default ({})", self.default);
+            }
+            err
+        };
+        let count = |max: usize| {
+            raw.parse()
+                .ok()
+                .filter(|n| (1..=max).contains(n))
+                .ok_or_else(bad)
+        };
+        let real = |ok: fn(f64) -> bool| raw.parse().ok().filter(|r| ok(*r)).ok_or_else(bad);
+        match self.kind {
+            Count { max, set, .. } => set(inv, count(max)?),
+            OptionalCount(_, set) => set(inv, Some(count(usize::MAX)?)),
+            Probability(set) => set(inv, real(|r| (0.0..=1.0).contains(&r))?),
+            Rate(set) => set(inv, real(|r| r.is_finite() && r >= 0.0)?),
+            Seed(set) => set(inv, raw.parse().map_err(|_| bad())?),
+            Text(set) => set(inv, raw.clone()),
+            Plan(set) => set(inv, raw.parse().map_err(|e| format!("{}: {e}", bad()))?),
+            Choice(words, set) => set(inv, words.iter().position(|w| w == raw).ok_or_else(bad)?),
+            Switch(_) => unreachable!("a switch takes no value"),
+        }
+        Ok(())
+    }
+}
+
+/// A command line's positional argument and flags, each already in the
+/// type its command takes.
+#[derive(Default)]
+struct Invocation {
+    /// The spec or journal path; empty when the command takes none.
+    path: String,
+    options: BuildOptions,
+    /// With `--cache-stats`: the memo table analyses go through, whose
+    /// statistics follow the command's output.
+    cache: Option<AnalysisCache>,
+    metrics: Option<MetricsFormat>,
+    threads: Option<usize>,
+    faults: FaultPlan,
+    journal: Option<String>,
+    transport: Option<TransportKind>,
+    net: Option<String>,
+    id: Option<String>,
+    out: Option<String>,
+    quick: bool,
+    samples: u64,
+    stream: Option<usize>,
+    market: MarketConfig,
+    /// `--events` came with a count.
+    counted_events: bool,
+    delta: bool,
+    full: bool,
+    addr: Option<String>,
+    /// The `serve` command's server, and `loadgen`'s in-process one.
+    service: ServiceConfig,
+    duration: Option<u64>,
+    loadgen: LoadgenConfig,
+    clients: Option<usize>,
+    requests: Option<u64>,
+    bench_out: Option<String>,
+}
+
+/// Parses and validates a command line without side effects: every flag
+/// is known, well-formed and read by the command, the positional argument
+/// is exactly the one the command takes, and the cross-flag rules hold.
+/// Nothing is read, bound or spawned.
+fn parse_args(args: &[String]) -> Result<(&'static CommandSpec, Invocation), String> {
+    let mut inv = Invocation {
+        samples: 1000,
+        service: ServiceConfig {
+            structures: 32,
+            // A long-running service must survive unbounded spec
+            // diversity: entries idle past the TTL are reclaimed lazily,
+            // and the segmented eviction keeps the table under its cap.
+            cache_ttl: Some(std::time::Duration::from_secs(300)),
+            ..ServiceConfig::default()
+        },
+        loadgen: LoadgenConfig {
+            structures: 32,
+            spec_rate: 0.005,
+            ..LoadgenConfig::default()
+        },
+        ..Invocation::default()
+    };
+    let mut seen: Vec<&Flag> = Vec::new();
+    let mut positional: Vec<&String> = Vec::new();
+    let mut tokens = args.iter().peekable();
+    while let Some(token) = tokens.next() {
+        if !token.starts_with("--") {
+            positional.push(token);
+            continue;
+        }
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.name() == token)
+            .ok_or_else(|| format!("unknown flag `{token}`"))?;
+        flag.read(&mut tokens, &mut inv)?;
+        seen.push(flag);
+    }
+    let (name, rest) = positional.split_first().ok_or("missing command")?;
+    let name = name.as_str();
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name() == name)
+        .ok_or_else(|| format!("unknown command `{name}`"))?;
+    if let Some(flag) = seen.iter().find(|f| !f.scope.includes(name)) {
+        let takers: Vec<String> = COMMANDS
+            .iter()
+            .filter(|c| flag.scope.includes(c.name()))
+            .map(|c| format!("`{}`", c.name()))
+            .collect();
+        let takers = match takers.split_last() {
+            Some((last, [])) => format!("the {last} command"),
+            Some((last, init)) => format!("the {} and {last} commands", init.join(", ")),
+            None => "no command".to_owned(),
+        };
+        return Err(format!(
+            "`{}` applies to {takers}, not `{name}`",
+            flag.name()
+        ));
+    }
+    let arg = split_usage(command.usage).1;
+    match (arg.is_empty(), rest) {
+        (true, []) => {}
+        (false, [path]) => inv.path = (*path).clone(),
+        (false, []) => return Err(format!("`{name}` expects {arg}")),
+        (true, [stray, ..]) | (false, [_, stray, ..]) => {
+            let takes = if arg.is_empty() { "no argument" } else { arg };
+            return Err(format!("stray argument `{stray}`: `{name}` takes {takes}"));
+        }
+    }
+    let rules = [
+        (
+            inv.delta && inv.full,
+            "`--delta` and `--full` are mutually exclusive; pick one maintenance mode \
+             (the default is `--delta`)",
+        ),
+        (
+            name == "loadgen" && inv.counted_events,
+            "`--events` takes no count with `loadgen` (the run length is `--requests`); \
+             pass the bare flag to enable event-stream mode",
+        ),
+        (
+            inv.loadgen.grow > 0 && !inv.loadgen.events,
+            "`--grow` needs `--events`: grown structures are admitted hot by event-stream \
+             `post` frames",
+        ),
+        (
+            inv.bench_out.is_some() && inv.addr.is_some(),
+            "`--bench-out` always benches an in-process server; `--addr` does not apply",
+        ),
+        (
+            name == "dist-node" && inv.net.is_none(),
+            "`dist-node` requires `--net <NET.txt>`",
+        ),
+        (
+            name == "dist-node" && inv.id.is_none(),
+            "`dist-node` requires `--id <AGENT>`",
+        ),
+    ];
+    if let Some((_, rule)) = rules.iter().find(|(broken, _)| *broken) {
+        return Err((*rule).to_owned());
+    }
+    Ok((command, inv))
+}
+
+/// The usage text, rendered from the command and flag tables.
+pub static USAGE: LazyLock<String> = LazyLock::new(|| {
+    let mut out = String::from(
+        "trustseq — trust-explicit distributed commerce transactions (ICDCS 1996)\n\n\
+         USAGE:\n    trustseq <COMMAND> [OPTIONS] [ARG]\n\nCOMMANDS:\n",
+    );
+    for c in COMMANDS {
+        usage_entry(&mut out, c.usage, c.help);
+    }
+    out.push_str("\nOPTIONS (the commands that read each one are in brackets):\n");
+    for f in FLAGS {
+        let mut left = f.usage.to_owned();
+        if let Choice(words, _) = f.kind {
+            let _ = write!(left, " {}", words.join("|"));
+        }
+        let mut text = f.help.to_owned();
+        if !f.default.is_empty() {
+            let _ = write!(text, " (default: {})", f.default);
+        }
+        let _ = write!(text, " [{}]", f.scope);
+        usage_entry(&mut out, &left, &text);
+    }
+    out
+});
+
+/// Appends one usage entry: `left` in the gutter, then `text` wrapped at
+/// 79 columns beside it (from the next line when `left` fills the gutter).
+fn usage_entry(out: &mut String, left: &str, text: &str) {
+    const GUTTER: usize = 26;
+    let mut line = format!("    {left}");
+    let mut fresh = true;
+    for word in text.split_whitespace() {
+        let width = line.chars().count();
+        if width + 1 + word.chars().count() > 79 || (fresh && width >= GUTTER) {
+            out.push_str(&line);
+            out.push('\n');
+            line.clear();
+            fresh = true;
+        }
+        let pad = if fresh {
+            GUTTER - line.chars().count()
+        } else {
+            1
+        };
+        line.extend(std::iter::repeat_n(' ', pad));
+        line.push_str(word);
+        fresh = false;
+    }
+    out.push_str(&line);
+    out.push('\n');
+}
+
+/// Runs one of the eight spec commands against specification source
+/// text. `options` selects the build semantics
+/// ([`BuildOptions::EXTENDED`] is §9's shared-escrow delegation). With a
+/// `cache`, feasibility checks, advice probes and indemnity planning go
+/// through the memo table; sequence/protocol synthesis stays uncached —
+/// its output is defined by the deterministic reducer's exact step order
+/// (§5).
 ///
 /// # Errors
 ///
 /// Returns a human-readable error string for parse failures, infeasible
 /// exchanges (where a sequence was demanded), or simulation errors.
-pub fn run(command: Command, source: &str) -> Result<String, String> {
-    run_with(command, source, trustseq_core::BuildOptions::PAPER)
-}
-
-/// Like [`run`], with explicit build options (`--extended` selects the §9
-/// shared-escrow delegation semantics).
-///
-/// # Errors
-///
-/// As for [`run`].
-pub fn run_with(
+pub fn run(
     command: Command,
     source: &str,
-    options: trustseq_core::BuildOptions,
+    options: BuildOptions,
+    cache: Option<&AnalysisCache>,
 ) -> Result<String, String> {
-    let spec = parse_spec(source).map_err(|e| format!("parse error: {e}"))?;
-    run_on_spec(command, &spec, options)
-}
-
-/// Like [`run_with`], routing every feasibility analysis through `cache`
-/// (the `--cache-stats` path) — callers can print
-/// [`cache.stats()`](trustseq_core::AnalysisCache::stats) afterwards.
-///
-/// # Errors
-///
-/// As for [`run`].
-pub fn run_with_cache(
-    command: Command,
-    source: &str,
-    options: trustseq_core::BuildOptions,
-    cache: &trustseq_core::AnalysisCache,
-) -> Result<String, String> {
-    let spec = parse_spec(source).map_err(|e| format!("parse error: {e}"))?;
-    run_on_spec_cached(command, &spec, options, Some(cache))
-}
-
-/// Runs a command against an already-parsed specification.
-///
-/// # Errors
-///
-/// As for [`run`].
-pub fn run_on_spec(
-    command: Command,
-    spec: &ExchangeSpec,
-    options: trustseq_core::BuildOptions,
-) -> Result<String, String> {
-    run_on_spec_cached(command, spec, options, None)
-}
-
-/// [`run_on_spec`] with an optional
-/// [`AnalysisCache`](trustseq_core::AnalysisCache): feasibility checks,
-/// advice probes and indemnity planning go through the memo table.
-/// Sequence/protocol synthesis stays uncached — its output is defined by
-/// the deterministic reducer's exact step order (§5).
-///
-/// # Errors
-///
-/// As for [`run`].
-pub fn run_on_spec_cached(
-    command: Command,
-    spec: &ExchangeSpec,
-    options: trustseq_core::BuildOptions,
-    cache: Option<&trustseq_core::AnalysisCache>,
-) -> Result<String, String> {
+    let spec = &parse_spec(source).map_err(|e| format!("parse error: {e}"))?;
     let mut out = String::new();
     match command {
         Command::Check => {
@@ -307,11 +836,7 @@ pub fn run_on_spec_cached(
         Command::Protocol => {
             let seq = trustseq_core::synthesize_with(spec, options).map_err(|e| e.to_string())?;
             let protocol = Protocol::from_sequence(spec, &seq);
-            let name = |a| {
-                spec.participant(a)
-                    .map(|p| p.name().to_owned())
-                    .unwrap_or_else(|_| format!("{a}"))
-            };
+            let name = |a| participant_name(spec, a);
             for agent in protocol.participants() {
                 let _ = writeln!(out, "{}:", name(agent));
                 for instr in protocol.instructions_for(agent) {
@@ -348,11 +873,7 @@ pub fn run_on_spec_cached(
         Command::Advise => {
             let advice = trustseq_core::advise_cached(spec, cache).map_err(|e| e.to_string())?;
             // Render with participant names for readability.
-            let name = |a| {
-                spec.participant(a)
-                    .map(|p| p.name().to_owned())
-                    .unwrap_or_else(|_| format!("{a}"))
-            };
+            let name = |a| participant_name(spec, a);
             if advice.already_feasible {
                 let _ = writeln!(out, "already feasible; nothing to do");
             } else {
@@ -455,7 +976,12 @@ fn parse_agent_id(raw: &str) -> Result<AgentId, String> {
     raw.strip_prefix('a')
         .and_then(|n| n.parse::<u32>().ok())
         .map(AgentId::new)
-        .ok_or_else(|| format!("`--id` expects an agent id like `a0`, got `{raw}`\n\n{USAGE}"))
+        .ok_or_else(|| {
+            format!(
+                "`--id` expects an agent id like `a0`, got `{raw}`\n\n{}",
+                *USAGE
+            )
+        })
 }
 
 /// Runs one principal's socket node (the `dist-node` command): joins the
@@ -646,9 +1172,9 @@ pub fn run_sweep(
     Ok(out)
 }
 
-/// Runs the `market` command: streams `events` marketplace events over the
-/// default structure population and reports deterministic counts (never
-/// throughput — timing belongs to the `delta` bench).
+/// Runs the `market` command: streams `config.events` marketplace events
+/// over the default structure population and reports deterministic counts
+/// (never throughput — timing belongs to the `delta` bench).
 ///
 /// With a `cache`, every mutation exercises the delta-aware invalidation
 /// path and cross-checks the incremental verdict against the
@@ -659,17 +1185,11 @@ pub fn run_sweep(
 ///
 /// Currently infallible; the `Result` matches its sibling runners.
 pub fn run_market_cmd(
-    events: u64,
-    mutation_rate: f64,
-    mode: trustseq_workloads::MarketMode,
-    cache: Option<&trustseq_core::AnalysisCache>,
+    config: &MarketConfig,
+    mode: MarketMode,
+    cache: Option<&AnalysisCache>,
 ) -> Result<String, String> {
-    let config = trustseq_workloads::MarketConfig {
-        events,
-        mutation_rate,
-        ..Default::default()
-    };
-    let report = trustseq_workloads::run_market(&config, mode, cache);
+    let report = trustseq_workloads::run_market(config, mode, cache);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -678,8 +1198,8 @@ pub fn run_market_cmd(
         config.structures,
         config.mutation_rate,
         match mode {
-            trustseq_workloads::MarketMode::Delta => "delta",
-            trustseq_workloads::MarketMode::Full => "full",
+            MarketMode::Delta => "delta",
+            MarketMode::Full => "full",
         }
     );
     let _ = writeln!(
@@ -703,116 +1223,28 @@ pub fn run_market_cmd(
     Ok(out)
 }
 
-/// Shared knobs of the `serve` and `loadgen` commands, resolved from
-/// flags with one set of defaults so the two sides agree by default.
-#[derive(Debug, Clone)]
-pub struct ServiceCliConfig {
-    /// Listen / target address.
-    pub addr: String,
-    /// `serve`: worker count.
-    pub workers: usize,
-    /// Resident population size (must match across serve and loadgen).
-    pub structures: usize,
-    /// Population seed (must match across serve and loadgen).
-    pub seed: u64,
-    /// `serve`: queue slots per worker shard.
-    pub queue: usize,
-    /// `serve`: per-connection quota (requests/second, 0 = unlimited).
-    pub quota: f64,
-    /// `loadgen`: concurrent clients.
-    pub clients: usize,
-    /// `loadgen`: total requests.
-    pub requests: u64,
-    /// `loadgen`: mutation fraction.
-    pub mutation_rate: f64,
-    /// `loadgen`: inline-spec fraction.
-    pub spec_rate: f64,
-    /// `loadgen`: pipelining window per client.
-    pub window: usize,
-    /// `loadgen`: stream marketplace lifecycle events instead of
-    /// analyze/mutate/analyzespec traffic.
-    pub events: bool,
-    /// `loadgen`: extra structures admitted hot via `event post` (event
-    /// mode only).
-    pub grow: usize,
-}
-
-impl Default for ServiceCliConfig {
-    fn default() -> Self {
-        ServiceCliConfig {
-            addr: "127.0.0.1:7421".to_string(),
-            workers: 1,
-            structures: 32,
-            seed: 42,
-            queue: 1024,
-            quota: 0.0,
-            clients: 4,
-            requests: 1_000_000,
-            mutation_rate: 0.1,
-            spec_rate: 0.005,
-            window: 64,
-            events: false,
-            grow: 0,
-        }
-    }
-}
-
-fn service_config(cli: &ServiceCliConfig) -> trustseq_service::ServiceConfig {
-    trustseq_service::ServiceConfig {
-        addr: trustseq_dist::Addr::Tcp(cli.addr.clone()),
-        workers: cli.workers,
-        structures: cli.structures,
-        seed: cli.seed,
-        queue_capacity: cli.queue,
-        quota_rate: cli.quota,
-        // A long-running service must survive unbounded spec diversity:
-        // entries idle past the TTL are reclaimed lazily, and the
-        // segmented eviction keeps the table under its cap.
-        cache_ttl: Some(std::time::Duration::from_secs(300)),
-        ..trustseq_service::ServiceConfig::default()
-    }
-}
-
-fn loadgen_config(
-    cli: &ServiceCliConfig,
-    addr: trustseq_dist::Addr,
-) -> trustseq_service::LoadgenConfig {
-    trustseq_service::LoadgenConfig {
-        addr,
-        clients: cli.clients,
-        requests: cli.requests,
-        structures: cli.structures,
-        seed: cli.seed,
-        mutation_rate: cli.mutation_rate,
-        spec_rate: cli.spec_rate,
-        window: cli.window,
-        events: cli.events,
-        grow: cli.grow,
-        ..trustseq_service::LoadgenConfig::default()
-    }
-}
-
 /// Runs the `serve` command: binds, prints the banner straight to stdout
-/// (the process is about to block), serves until `duration` elapses (or
+/// (the process is about to block), serves until `--duration` elapses (or
 /// forever), then drains and reports.
-///
-/// # Errors
-///
-/// Bind or socket errors.
-pub fn run_serve_cmd(cli: &ServiceCliConfig, duration: Option<u64>) -> Result<String, String> {
-    let server = trustseq_service::Server::bind(service_config(cli))
-        .map_err(|e| format!("cannot bind `{}`: {e}", cli.addr))?;
-    let addr = server.local_addr();
+fn cmd_serve(inv: &Invocation) -> Result<String, String> {
+    let addr = inv.addr.as_deref().unwrap_or("127.0.0.1:7421");
+    let config = &inv.service;
+    let server = trustseq_service::Server::bind(ServiceConfig {
+        addr: Addr::Tcp(addr.to_owned()),
+        ..config.clone()
+    })
+    .map_err(|e| format!("cannot bind `{addr}`: {e}"))?;
+    let local = server.local_addr();
     println!(
-        "serving on {addr}: {} workers, {} resident structures (seed {}), \
+        "serving on {local}: {} workers, {} resident structures (seed {}), \
          queue {}x{}, quota {}",
-        cli.workers,
-        cli.structures,
-        cli.seed,
-        cli.workers,
-        cli.queue,
-        if cli.quota > 0.0 {
-            format!("{} req/s per connection", cli.quota)
+        config.workers,
+        config.structures,
+        config.seed,
+        config.workers,
+        config.queue_capacity,
+        if config.quota_rate > 0.0 {
+            format!("{} req/s per connection", config.quota_rate)
         } else {
             "unlimited".to_string()
         }
@@ -820,7 +1252,7 @@ pub fn run_serve_cmd(cli: &ServiceCliConfig, duration: Option<u64>) -> Result<St
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     let handle = server.handle();
-    if let Some(secs) = duration {
+    if let Some(secs) = inv.duration {
         std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_secs(secs));
             handle.shutdown();
@@ -836,16 +1268,12 @@ pub fn run_serve_cmd(cli: &ServiceCliConfig, duration: Option<u64>) -> Result<St
     Ok(out)
 }
 
-fn render_loadgen_report(
-    out: &mut String,
-    cli: &ServiceCliConfig,
-    report: &trustseq_service::LoadgenReport,
-) {
+fn render_loadgen_report(out: &mut String, clients: usize, report: &LoadgenReport) {
     let _ = writeln!(
         out,
         "loadgen: {} requests over {} clients -> {} replies in {:.2} s ({:.0} req/s)",
         report.sent,
-        cli.clients,
+        clients,
         report.replies,
         report.elapsed.as_secs_f64(),
         report.rps
@@ -880,7 +1308,7 @@ fn render_loadgen_report(
 
 /// The CI gate shared by `loadgen` and the bench: a run that proved
 /// nothing (no accepted work) or proved something *wrong* fails loudly.
-fn check_loadgen_report(out: &str, report: &trustseq_service::LoadgenReport) -> Result<(), String> {
+fn check_loadgen_report(out: &str, report: &LoadgenReport) -> Result<(), String> {
     if report.accepted == 0 {
         return Err(format!("{out}loadgen FAILED: no request was accepted"));
     }
@@ -901,48 +1329,54 @@ fn check_loadgen_report(out: &str, report: &trustseq_service::LoadgenReport) -> 
     Ok(())
 }
 
-/// Runs the `loadgen` command against `addr`, or against an in-process
-/// server when `in_process`.
+/// Runs the `loadgen` command against `--addr`, against an in-process
+/// server when no address is given, or as the committed benchmark with
+/// `--bench-out`.
 ///
 /// # Errors
 ///
 /// Connection errors, or a failed verification gate (wrong verdicts, hash
 /// mismatches, unanswered or zero accepted requests).
-pub fn run_loadgen_cmd(cli: &ServiceCliConfig, in_process: bool) -> Result<String, String> {
-    let mut out = String::new();
-    let report = if in_process {
-        let mut server_cli = cli.clone();
-        server_cli.addr = "127.0.0.1:0".to_string();
-        let server = trustseq_service::Server::bind(service_config(&server_cli))
-            .map_err(|e| format!("cannot bind the in-process server: {e}"))?;
-        let addr = server.local_addr();
-        let handle = server.handle();
-        let serving = std::thread::spawn(move || server.run());
-        let result = trustseq_service::run_loadgen(&loadgen_config(cli, addr));
-        handle.shutdown();
-        let _ = serving.join();
-        result.map_err(|e| format!("loadgen failed: {e}"))?
+fn cmd_loadgen(inv: &Invocation) -> Result<String, String> {
+    let (requests, clients) = if inv.quick {
+        (40_000, 2)
     } else {
-        trustseq_service::run_loadgen(&loadgen_config(
-            cli,
-            trustseq_dist::Addr::Tcp(cli.addr.clone()),
-        ))
-        .map_err(|e| {
-            format!(
-                "loadgen failed (is `trustseq serve` running on {}?): {e}",
-                cli.addr
-            )
-        })?
+        (1_000_000, 4)
     };
-    render_loadgen_report(&mut out, cli, &report);
+    let mut config = LoadgenConfig {
+        requests: inv.requests.unwrap_or(requests),
+        clients: inv.clients.unwrap_or(clients),
+        ..inv.loadgen.clone()
+    };
+    if let Some(out_file) = &inv.bench_out {
+        if inv.quick {
+            config.requests = config.requests.min(40_000);
+        }
+        return if config.events {
+            run_events_bench(&inv.service, config, out_file)
+        } else {
+            run_service_bench(&inv.service, config, out_file)
+        };
+    }
+    let report = match &inv.addr {
+        None => run_in_process(&inv.service, &config)?,
+        Some(addr) => trustseq_service::run_loadgen(&LoadgenConfig {
+            addr: Addr::Tcp(addr.clone()),
+            ..config.clone()
+        })
+        .map_err(|e| format!("loadgen failed (is `trustseq serve` running on {addr}?): {e}"))?,
+    };
+    let mut out = String::new();
+    render_loadgen_report(&mut out, config.clients, &report);
     check_loadgen_report(&out, &report)?;
     Ok(out)
 }
 
 fn bench_phase_json(
     name: &str,
-    cli: &ServiceCliConfig,
-    report: &trustseq_service::LoadgenReport,
+    service: &ServiceConfig,
+    loadgen: &LoadgenConfig,
+    report: &LoadgenReport,
 ) -> String {
     let [overloaded, quota, draining, malformed, unknown] = report.rejected;
     let (queue_depth, cache_hits, cache_misses) = report
@@ -963,16 +1397,16 @@ fn bench_phase_json(
       "wrong_verdicts": {}, "hash_mismatches": {}, "hash_checked": {},
       "final_queue_depth": {queue_depth}, "cache_hits": {cache_hits}, "cache_misses": {cache_misses}
     }}"#,
-        cli.clients,
-        cli.window,
-        cli.workers,
-        cli.structures,
-        cli.events,
-        cli.grow,
-        cli.quota,
-        cli.queue,
-        cli.mutation_rate,
-        cli.spec_rate,
+        loadgen.clients,
+        loadgen.window,
+        service.workers,
+        loadgen.structures,
+        loadgen.events,
+        loadgen.grow,
+        service.quota_rate,
+        service.queue_capacity,
+        loadgen.mutation_rate,
+        loadgen.spec_rate,
         report.sent,
         report.replies,
         report.elapsed.as_secs_f64(),
@@ -999,35 +1433,36 @@ fn bench_phase_json(
 ///
 /// # Errors
 ///
-/// Socket errors, a failed verification gate, or an unwritable `out`.
-pub fn run_service_bench(
-    cli: &ServiceCliConfig,
-    quick: bool,
+/// Socket errors, a failed verification gate, or an unwritable `out_file`.
+fn run_service_bench(
+    service: &ServiceConfig,
+    loadgen: LoadgenConfig,
     out_file: &str,
 ) -> Result<String, String> {
-    let mut cli = cli.clone();
-    if quick {
-        cli.requests = cli.requests.min(40_000);
-    }
     let mut out = String::new();
     let _ = writeln!(out, "service bench, phase 1 (sustained):");
-    let phase1 = run_one_bench_phase(&cli)?;
-    render_loadgen_report(&mut out, &cli, &phase1);
+    let phase1 = run_in_process(service, &loadgen)?;
+    render_loadgen_report(&mut out, loadgen.clients, &phase1);
     check_loadgen_report(&out, &phase1)?;
 
     // Phase 2: quotas sized so the admitted rate is about half of what
     // phase 1 proved the pipeline can carry, while clients offer full
     // speed — a deliberate ~2x overload.
-    let mut over = cli.clone();
-    over.quota = (phase1.rps / 2.0 / cli.clients as f64).max(100.0);
-    over.requests = cli.requests / 2;
+    let over_service = ServiceConfig {
+        quota_rate: (phase1.rps / 2.0 / loadgen.clients as f64).max(100.0),
+        ..service.clone()
+    };
+    let over_loadgen = LoadgenConfig {
+        requests: loadgen.requests / 2,
+        ..loadgen.clone()
+    };
     let _ = writeln!(
         out,
         "service bench, phase 2 (~2x overload, quota {:.0} req/s per connection):",
-        over.quota
+        over_service.quota_rate
     );
-    let phase2 = run_one_bench_phase(&over)?;
-    render_loadgen_report(&mut out, &over, &phase2);
+    let phase2 = run_in_process(&over_service, &over_loadgen)?;
+    render_loadgen_report(&mut out, over_loadgen.clients, &phase2);
     check_loadgen_report(&out, &phase2)?;
     let shed = phase2.rejected.iter().sum::<u64>();
     if shed == 0 {
@@ -1054,8 +1489,8 @@ pub fn run_service_bench(
 "#,
         std::env::consts::OS,
         std::env::consts::ARCH,
-        bench_phase_json("sustained", &cli, &phase1),
-        bench_phase_json("overload_2x", &over, &phase2),
+        bench_phase_json("sustained", service, &loadgen, &phase1),
+        bench_phase_json("overload_2x", &over_service, &over_loadgen, &phase2),
     );
     std::fs::write(out_file, &json).map_err(|e| format!("cannot write `{out_file}`: {e}"))?;
     let _ = writeln!(out, "report written to {out_file}");
@@ -1072,33 +1507,27 @@ pub fn run_service_bench(
 /// # Errors
 ///
 /// Socket errors, a failed verification gate, or an unwritable `out_file`.
-pub fn run_events_bench(
-    cli: &ServiceCliConfig,
-    quick: bool,
+fn run_events_bench(
+    service: &ServiceConfig,
+    mut ev: LoadgenConfig,
     out_file: &str,
 ) -> Result<String, String> {
-    let mut ev = cli.clone();
-    if quick {
-        ev.requests = ev.requests.min(40_000);
-    }
     ev.events = true;
     // Every event is a mutation and none is an inline spec; the rates are
     // set so the committed record says so.
     ev.mutation_rate = 1.0;
     ev.spec_rate = 0.0;
-    ev.grow = if cli.grow > 0 {
-        cli.grow
-    } else {
-        (cli.structures / 4).max(1)
-    };
+    if ev.grow == 0 {
+        ev.grow = (ev.structures / 4).max(1);
+    }
     let mut out = String::new();
     let _ = writeln!(
         out,
         "events bench (event stream, {} structures admitted hot):",
         ev.grow
     );
-    let report = run_one_bench_phase(&ev)?;
-    render_loadgen_report(&mut out, &ev, &report);
+    let report = run_in_process(service, &ev)?;
+    render_loadgen_report(&mut out, ev.clients, &report);
     check_loadgen_report(&out, &report)?;
 
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -1117,22 +1546,28 @@ pub fn run_events_bench(
 "#,
         std::env::consts::OS,
         std::env::consts::ARCH,
-        bench_phase_json("event_stream", &ev, &report),
+        bench_phase_json("event_stream", service, &ev, &report),
     );
     std::fs::write(out_file, &json).map_err(|e| format!("cannot write `{out_file}`: {e}"))?;
     let _ = writeln!(out, "report written to {out_file}");
     Ok(out)
 }
 
-fn run_one_bench_phase(cli: &ServiceCliConfig) -> Result<trustseq_service::LoadgenReport, String> {
-    let mut server_cli = cli.clone();
-    server_cli.addr = "127.0.0.1:0".to_string();
-    let server = trustseq_service::Server::bind(service_config(&server_cli))
+/// Runs `loadgen` against a server bound in this process on an ephemeral
+/// loopback port, then shuts the server down.
+fn run_in_process(
+    service: &ServiceConfig,
+    loadgen: &LoadgenConfig,
+) -> Result<LoadgenReport, String> {
+    let server = trustseq_service::Server::bind(service.clone())
         .map_err(|e| format!("cannot bind the in-process server: {e}"))?;
     let addr = server.local_addr();
     let handle = server.handle();
     let serving = std::thread::spawn(move || server.run());
-    let result = trustseq_service::run_loadgen(&loadgen_config(cli, addr));
+    let result = trustseq_service::run_loadgen(&LoadgenConfig {
+        addr,
+        ..loadgen.clone()
+    });
     handle.shutdown();
     let _ = serving.join();
     result.map_err(|e| format!("loadgen failed: {e}"))
@@ -1242,18 +1677,17 @@ pub enum MetricsFormat {
     Json,
 }
 
-/// Runs `body` with a process-wide [`MetricsRegistry`] installed (when
-/// `enable`) and appends the rendered snapshot to its output. The registry
-/// is a single static so repeated invocations reuse it; it is reset on
-/// entry and uninstalled on exit.
+/// Runs `body` with a process-wide [`MetricsRegistry`] installed (when a
+/// `format` is given) and appends the snapshot, rendered in that format,
+/// to its output. The registry is a single static so repeated invocations
+/// reuse it; it is reset on entry and uninstalled on exit.
 fn with_metrics(
-    enable: bool,
-    format: MetricsFormat,
+    format: Option<MetricsFormat>,
     body: impl FnOnce() -> Result<String, String>,
 ) -> Result<String, String> {
-    if !enable {
+    let Some(format) = format else {
         return body();
-    }
+    };
     static METRICS: std::sync::OnceLock<MetricsRegistry> = std::sync::OnceLock::new();
     let registry = METRICS.get_or_init(MetricsRegistry::new);
     registry.reset();
@@ -1274,706 +1708,140 @@ fn with_metrics(
     Ok(out)
 }
 
-/// Entry point used by `main.rs`: parses argv, reads the file, dispatches.
+/// Reads the file a command names.
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
+}
+
+/// The running `trustseq` binary, which `dist-run` and `chaos-sockets`
+/// spawn as `dist-node` children.
+fn this_binary() -> Result<std::path::PathBuf, String> {
+    std::env::current_exe().map_err(|e| format!("cannot locate the trustseq binary: {e}"))
+}
+
+/// Writes a run's journal to `--journal`, when one was asked for.
+fn write_journal(path: Option<&str>, journal: Option<String>) -> Result<(), String> {
+    if let (Some(path), Some(text)) = (path, journal) {
+        std::fs::write(path, text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+    }
+    Ok(())
+}
+
+fn cmd_dist(inv: &Invocation) -> Result<String, String> {
+    let (out, journal) = run_dist(
+        &read(&inv.path)?,
+        inv.options,
+        &inv.faults,
+        &ResilientConfig::default(),
+        inv.journal.is_some(),
+    )?;
+    write_journal(inv.journal.as_deref(), journal)?;
+    Ok(out)
+}
+
+fn cmd_dist_run(inv: &Invocation) -> Result<String, String> {
+    let source = read(&inv.path)?;
+    let (out, journal) = run_dist_sockets(
+        &this_binary()?,
+        &source,
+        inv.transport.unwrap_or(TransportKind::Tcp),
+        &inv.faults,
+        inv.journal.is_some(),
+    )?;
+    write_journal(inv.journal.as_deref(), journal)?;
+    Ok(out)
+}
+
+fn cmd_market(inv: &Invocation) -> Result<String, String> {
+    let mode = if inv.full {
+        MarketMode::Full
+    } else {
+        MarketMode::Delta
+    };
+    run_market_cmd(&inv.market, mode, inv.cache.as_ref())
+}
+
+fn cmd_dist_node(inv: &Invocation) -> Result<String, String> {
+    let (Some(net_file), Some(id)) = (&inv.net, &inv.id) else {
+        unreachable!("parse_args requires both for dist-node")
+    };
+    let net_text = read(net_file)?;
+    run_dist_node(&net_text, id, &read(&inv.path)?, &inv.faults)
+}
+
+fn cmd_chaos_sockets(inv: &Invocation) -> Result<String, String> {
+    let report = orchestrate::socket_chaos_matrix(&this_binary()?, inv.quick)?;
+    let json = report.to_json();
+    let out_file = inv.out.as_deref().unwrap_or("BENCH_sockets.json");
+    std::fs::write(out_file, &json).map_err(|e| format!("cannot write `{out_file}`: {e}"))?;
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "chaos matrix: {} runs ({} decided correct, {} undecided, {} wrong verdicts, {} hung processes)",
+        report.runs.len(),
+        report.decided_correct,
+        report.undecided,
+        report.wrong,
+        report.hung_total
+    );
+    let _ = writeln!(out, "report written to {out_file}");
+    if !report.clean() {
+        return Err(format!(
+            "{out}matrix NOT clean: wrong verdicts or hung processes detected"
+        ));
+    }
+    Ok(out)
+}
+
+/// Entry point used by `main.rs`: validates the whole command line, then
+/// reads the files and runs the command.
 ///
 /// # Errors
 ///
 /// Usage or execution errors as strings (printed to stderr by the wrapper).
 pub fn main_with_args(args: &[String]) -> Result<String, String> {
-    let mut options = trustseq_core::BuildOptions::PAPER;
-    let mut cache_stats = false;
-    let mut metrics = false;
-    let mut metrics_format = MetricsFormat::Table;
-    let mut journal_path: Option<String> = None;
-    let mut faults: Option<String> = None;
-    let mut samples: Option<u64> = None;
-    let mut stream: Option<usize> = None;
-    let mut events: Option<u64> = None;
-    let mut events_flag = false;
-    let mut grow: Option<usize> = None;
-    let mut mutation_rate: Option<f64> = None;
-    let mut delta_mode = false;
-    let mut full_mode = false;
-    let mut net_path: Option<String> = None;
-    let mut node_id: Option<String> = None;
-    let mut transport: Option<TransportKind> = None;
-    let mut out_path: Option<String> = None;
-    let mut quick = false;
-    let mut addr: Option<String> = None;
-    let mut workers: Option<usize> = None;
-    let mut structures: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut queue: Option<usize> = None;
-    let mut quota: Option<f64> = None;
-    let mut duration: Option<u64> = None;
-    let mut clients: Option<usize> = None;
-    let mut requests: Option<u64> = None;
-    let mut spec_rate: Option<f64> = None;
-    let mut window: Option<usize> = None;
-    let mut in_process_serve = false;
-    let mut bench_out: Option<String> = None;
-    let mut positional: Vec<&str> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--extended" => options = trustseq_core::BuildOptions::EXTENDED,
-            "--cache-stats" => cache_stats = true,
-            "--samples" => {
-                let raw = iter
-                    .next()
-                    .ok_or_else(|| format!("`--samples` expects a corpus size\n\n{USAGE}"))?;
-                samples = Some(raw.parse::<u64>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                    format!(
-                        "`--samples` expects a positive corpus size (got `{raw}`); \
-                             omit the flag to sweep the default 1000-seed corpus\n\n{USAGE}"
-                    )
-                })?);
-            }
-            "--stream" => {
-                let raw = iter
-                    .next()
-                    .ok_or_else(|| format!("`--stream` expects a chunk size\n\n{USAGE}"))?;
-                stream = Some(
-                    raw.parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| {
-                            format!(
-                                "`--stream` expects a positive chunk size, got `{raw}`\n\n{USAGE}"
-                            )
-                        })?,
-                );
-            }
-            "--events" => {
-                // `market --events N` takes a count; `loadgen --events` is
-                // a bare mode toggle. Peek ahead and only consume the next
-                // token when it looks like a count (starts with a digit),
-                // leaving flags and command names in place.
-                let mut peek = iter.clone();
-                match peek.next() {
-                    Some(raw) if raw.chars().next().is_some_and(|c| c.is_ascii_digit()) => {
-                        events =
-                            Some(raw.parse::<u64>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                                format!(
-                                    "`--events` expects a positive event count (got \
-                                         `{raw}`); omit the count to stream the default \
-                                         1000 events with `market`, or pass the bare flag \
-                                         to put `loadgen` in event-stream mode\n\n{USAGE}"
-                                )
-                            })?);
-                        iter = peek;
-                    }
-                    _ => events_flag = true,
-                }
-            }
-            "--grow" => {
-                let raw = iter
-                    .next()
-                    .ok_or_else(|| format!("`--grow` expects a structure count\n\n{USAGE}"))?;
-                grow = Some(
-                    raw.parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| {
-                            format!(
-                            "`--grow` expects a positive structure count, got `{raw}`\n\n{USAGE}"
-                        )
-                        })?,
-                );
-            }
-            "--mutation-rate" => {
-                let raw = iter
-                    .next()
-                    .ok_or_else(|| format!("`--mutation-rate` expects a probability\n\n{USAGE}"))?;
-                mutation_rate = Some(
-                    raw.parse::<f64>()
-                        .ok()
-                        .filter(|r| (0.0..=1.0).contains(r))
-                        .ok_or_else(|| {
-                            format!(
-                                "`--mutation-rate` expects a probability in [0, 1] \
-                                 (got `{raw}`); omit the flag for the default 0.2\n\n{USAGE}"
-                            )
-                        })?,
-                );
-            }
-            "--delta" => delta_mode = true,
-            "--full" => full_mode = true,
-            "--metrics" => metrics = true,
-            "--metrics-format" => {
-                let fmt = iter.next().ok_or_else(|| {
-                    format!("`--metrics-format` expects `table` or `json`\n\n{USAGE}")
-                })?;
-                metrics_format = match fmt.as_str() {
-                    "table" => MetricsFormat::Table,
-                    "json" => MetricsFormat::Json,
-                    other => {
-                        return Err(format!(
-                            "`--metrics-format` expects `table` or `json`, got `{other}`\n\n{USAGE}"
-                        ))
-                    }
-                };
-                metrics = true;
-            }
-            "--journal" => {
-                journal_path = Some(
-                    iter.next()
-                        .ok_or_else(|| format!("`--journal` expects a file path\n\n{USAGE}"))?
-                        .clone(),
-                );
-            }
-            "--faults" => {
-                faults = Some(
-                    iter.next()
-                        .ok_or_else(|| {
-                            format!("`--faults` expects a fault-plan wire string\n\n{USAGE}")
-                        })?
-                        .clone(),
-                );
-            }
-            "--net" => {
-                net_path = Some(
-                    iter.next()
-                        .ok_or_else(|| {
-                            format!("`--net` expects a network description file\n\n{USAGE}")
-                        })?
-                        .clone(),
-                );
-            }
-            "--id" => {
-                node_id = Some(
-                    iter.next()
-                        .ok_or_else(|| format!("`--id` expects an agent id like `a0`\n\n{USAGE}"))?
-                        .clone(),
-                );
-            }
-            "--transport" => {
-                let kind = iter
-                    .next()
-                    .ok_or_else(|| format!("`--transport` expects `tcp` or `unix`\n\n{USAGE}"))?;
-                transport = Some(match kind.as_str() {
-                    "tcp" => TransportKind::Tcp,
-                    "unix" => TransportKind::Unix,
-                    other => {
-                        return Err(format!(
-                            "`--transport` expects `tcp` or `unix`, got `{other}`\n\n{USAGE}"
-                        ))
-                    }
-                });
-            }
-            "--out" => {
-                out_path = Some(
-                    iter.next()
-                        .ok_or_else(|| format!("`--out` expects a file path\n\n{USAGE}"))?
-                        .clone(),
-                );
-            }
-            "--quick" => quick = true,
-            "--addr" => {
-                addr = Some(
-                    iter.next()
-                        .ok_or_else(|| format!("`--addr` expects HOST:PORT\n\n{USAGE}"))?
-                        .clone(),
-                );
-            }
-            "--workers" => {
-                let raw = iter
-                    .next()
-                    .ok_or_else(|| format!("`--workers` expects a worker count\n\n{USAGE}"))?;
-                workers = Some(raw.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(
-                    || format!("`--workers` expects a positive worker count, got `{raw}`\n\n{USAGE}"),
-                )?);
-            }
-            "--structures" => {
-                let raw = iter.next().ok_or_else(|| {
-                    format!("`--structures` expects a population size\n\n{USAGE}")
-                })?;
-                structures = Some(raw.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(
-                    || {
-                        format!(
-                            "`--structures` expects a positive population size, got `{raw}`\n\n{USAGE}"
-                        )
-                    },
-                )?);
-            }
-            "--seed" => {
-                let raw = iter
-                    .next()
-                    .ok_or_else(|| format!("`--seed` expects a seed\n\n{USAGE}"))?;
-                seed = Some(raw.parse::<u64>().map_err(|_| {
-                    format!("`--seed` expects an unsigned seed, got `{raw}`\n\n{USAGE}")
-                })?);
-            }
-            "--queue" => {
-                let raw = iter
-                    .next()
-                    .ok_or_else(|| format!("`--queue` expects a slot count\n\n{USAGE}"))?;
-                queue = Some(
-                    raw.parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| {
-                            format!(
-                                "`--queue` expects a positive slot count, got `{raw}`\n\n{USAGE}"
-                            )
-                        })?,
-                );
-            }
-            "--quota" => {
-                let raw = iter
-                    .next()
-                    .ok_or_else(|| format!("`--quota` expects requests/second\n\n{USAGE}"))?;
-                quota = Some(
-                    raw.parse::<f64>()
-                        .ok()
-                        .filter(|&r| r >= 0.0 && r.is_finite())
-                        .ok_or_else(|| {
-                            format!(
-                                "`--quota` expects a finite, non-negative requests/second \
-                             rate (0 disables quotas), got `{raw}`\n\n{USAGE}"
-                            )
-                        })?,
-                );
-            }
-            "--duration" => {
-                let raw = iter
-                    .next()
-                    .ok_or_else(|| format!("`--duration` expects seconds\n\n{USAGE}"))?;
-                duration = Some(raw.parse::<u64>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                    format!(
-                        "`--duration` expects a positive number of seconds, got `{raw}`\n\n{USAGE}"
-                    )
-                })?);
-            }
-            "--clients" => {
-                let raw = iter
-                    .next()
-                    .ok_or_else(|| format!("`--clients` expects a client count\n\n{USAGE}"))?;
-                clients = Some(raw.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(
-                    || format!("`--clients` expects a positive client count, got `{raw}`\n\n{USAGE}"),
-                )?);
-            }
-            "--requests" => {
-                let raw = iter
-                    .next()
-                    .ok_or_else(|| format!("`--requests` expects a request count\n\n{USAGE}"))?;
-                requests = Some(raw.parse::<u64>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                    format!("`--requests` expects a positive request count, got `{raw}`\n\n{USAGE}")
-                })?);
-            }
-            "--spec-rate" => {
-                let raw = iter
-                    .next()
-                    .ok_or_else(|| format!("`--spec-rate` expects a probability\n\n{USAGE}"))?;
-                spec_rate = Some(
-                    raw.parse::<f64>()
-                        .ok()
-                        .filter(|r| (0.0..=1.0).contains(r))
-                        .ok_or_else(|| {
-                            format!(
-                                "`--spec-rate` expects a probability in [0, 1], got `{raw}`\n\n{USAGE}"
-                            )
-                        })?,
-                );
-            }
-            "--window" => {
-                let raw = iter
-                    .next()
-                    .ok_or_else(|| format!("`--window` expects a window size\n\n{USAGE}"))?;
-                window = Some(
-                    raw.parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| {
-                            format!(
-                                "`--window` expects a positive window size, got `{raw}`\n\n{USAGE}"
-                            )
-                        })?,
-                );
-            }
-            "--serve" => in_process_serve = true,
-            "--bench-out" => {
-                bench_out = Some(
-                    iter.next()
-                        .ok_or_else(|| format!("`--bench-out` expects a file path\n\n{USAGE}"))?
-                        .clone(),
-                );
-            }
-            "--threads" => {
-                let raw = iter.next().ok_or_else(|| {
-                    format!("`--threads` expects a positive thread count\n\n{USAGE}")
-                })?;
-                let n = raw
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| (1..=trustseq_core::pool::MAX_WIDTH).contains(&n))
-                    .ok_or_else(|| {
-                        format!(
-                            "`--threads` expects a thread count between 1 and {} (got `{raw}`); \
-                             omit the flag to use the machine's available parallelism\n\n{USAGE}",
-                            trustseq_core::pool::MAX_WIDTH
-                        )
-                    })?;
-                trustseq_core::pool::set_size(n);
-            }
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown flag `{flag}`\n\n{USAGE}"))
-            }
-            other => positional.push(other),
-        }
+    let (command, inv) = parse_args(args).map_err(|e| format!("{e}\n\n{}", *USAGE))?;
+    if let Some(n) = inv.threads {
+        trustseq_core::pool::set_size(n);
     }
-    if positional.as_slice() == ["sweep"] {
-        if journal_path.is_some() || faults.is_some() {
-            return Err(format!(
-                "`--journal` and `--faults` apply to the `dist` command\n\n{USAGE}"
-            ));
-        }
-        if events.is_some()
-            || events_flag
-            || mutation_rate.is_some()
-            || delta_mode
-            || full_mode
-            || grow.is_some()
-        {
-            return Err(format!(
-                "`--events`, `--mutation-rate`, `--grow`, `--delta` and `--full` \
-                 apply to the `market` and `loadgen` commands\n\n{USAGE}"
-            ));
-        }
-        let samples = samples.unwrap_or(1000);
-        return with_metrics(metrics, metrics_format, || {
-            if cache_stats {
-                let cache = trustseq_core::AnalysisCache::new();
-                let mut out = run_sweep(samples, stream, Some(&cache))?;
-                let _ = writeln!(out, "cache: {}", cache.stats());
-                Ok(out)
-            } else {
-                run_sweep(samples, stream, None)
-            }
-        });
-    }
-    if samples.is_some() || stream.is_some() {
-        return Err(format!(
-            "`--samples` and `--stream` apply to the `sweep` command\n\n{USAGE}"
-        ));
-    }
-    if positional.as_slice() == ["market"] {
-        if journal_path.is_some() || faults.is_some() {
-            return Err(format!(
-                "`--journal` and `--faults` apply to the `dist` command\n\n{USAGE}"
-            ));
-        }
-        if grow.is_some() {
-            return Err(format!(
-                "`--grow` applies to the `loadgen` command (event-stream mode)\n\n{USAGE}"
-            ));
-        }
-        if delta_mode && full_mode {
-            return Err(format!(
-                "`--delta` and `--full` are mutually exclusive; pick one \
-                 maintenance mode (the default is `--delta`)\n\n{USAGE}"
-            ));
-        }
-        let mode = if full_mode {
-            trustseq_workloads::MarketMode::Full
-        } else {
-            trustseq_workloads::MarketMode::Delta
+    with_metrics(inv.metrics, || {
+        let mut out = match &command.run {
+            Run::Spec(spec_command) => run(
+                spec_command.clone(),
+                &read(&inv.path)?,
+                inv.options,
+                inv.cache.as_ref(),
+            )?,
+            Run::Other(run_command) => run_command(&inv)?,
         };
-        let events = events.unwrap_or(1000);
-        let mutation_rate = mutation_rate.unwrap_or(0.2);
-        return with_metrics(metrics, metrics_format, || {
-            if cache_stats {
-                let cache = trustseq_core::AnalysisCache::new();
-                let mut out = run_market_cmd(events, mutation_rate, mode, Some(&cache))?;
-                let _ = writeln!(out, "cache: {}", cache.stats());
-                Ok(out)
-            } else {
-                run_market_cmd(events, mutation_rate, mode, None)
-            }
-        });
-    }
-    let mut service_cli = ServiceCliConfig::default();
-    if let Some(v) = &addr {
-        service_cli.addr = v.clone();
-    }
-    if let Some(v) = workers {
-        service_cli.workers = v;
-    }
-    if let Some(v) = structures {
-        service_cli.structures = v;
-    }
-    if let Some(v) = seed {
-        service_cli.seed = v;
-    }
-    if let Some(v) = queue {
-        service_cli.queue = v;
-    }
-    if let Some(v) = quota {
-        service_cli.quota = v;
-    }
-    if let Some(v) = clients {
-        service_cli.clients = v;
-    }
-    if let Some(v) = requests {
-        service_cli.requests = v;
-    }
-    if let Some(v) = mutation_rate {
-        service_cli.mutation_rate = v;
-    }
-    if let Some(v) = spec_rate {
-        service_cli.spec_rate = v;
-    }
-    if let Some(v) = window {
-        service_cli.window = v;
-    }
-
-    if positional.as_slice() == ["serve"] {
-        if clients.is_some()
-            || requests.is_some()
-            || spec_rate.is_some()
-            || window.is_some()
-            || in_process_serve
-            || bench_out.is_some()
-            || quick
-            || grow.is_some()
-        {
-            return Err(format!(
-                "`--clients`, `--requests`, `--spec-rate`, `--window`, `--serve`, \
-                 `--bench-out`, `--quick` and `--grow` apply to the `loadgen` \
-                 command\n\n{USAGE}"
-            ));
-        }
-        if events.is_some() || events_flag || mutation_rate.is_some() || delta_mode || full_mode {
-            return Err(format!(
-                "`--events`, `--mutation-rate`, `--delta` and `--full` apply to \
-                 the `market` and `loadgen` commands\n\n{USAGE}"
-            ));
-        }
-        return with_metrics(metrics, metrics_format, || {
-            run_serve_cmd(&service_cli, duration)
-        });
-    }
-    if positional.as_slice() == ["loadgen"] {
-        if workers.is_some() || queue.is_some() || quota.is_some() || duration.is_some() {
-            return Err(format!(
-                "`--workers`, `--queue`, `--quota` and `--duration` apply to the \
-                 `serve` command (the in-process `--serve`/`--bench-out` servers \
-                 use their defaults)\n\n{USAGE}"
-            ));
-        }
-        if delta_mode || full_mode {
-            return Err(format!(
-                "`--delta` and `--full` apply to the `market` command\n\n{USAGE}"
-            ));
-        }
-        if events.is_some() {
-            return Err(format!(
-                "`--events` takes no count with `loadgen` (the run length is \
-                 `--requests`); pass the bare flag to enable event-stream mode\n\n{USAGE}"
-            ));
-        }
-        service_cli.events = events_flag;
-        if let Some(g) = grow {
-            if !events_flag {
-                return Err(format!(
-                    "`--grow` needs `--events`: grown structures are admitted hot \
-                     by event-stream `post` frames\n\n{USAGE}"
-                ));
-            }
-            service_cli.grow = g;
-        }
-        if quick {
-            service_cli.requests = requests.unwrap_or(40_000);
-            service_cli.clients = clients.unwrap_or(2);
-        }
-        if let Some(out_file) = bench_out {
-            if addr.is_some() {
-                return Err(format!(
-                    "`--bench-out` always benches an in-process server; \
-                     `--addr` does not apply\n\n{USAGE}"
-                ));
-            }
-            if events_flag {
-                return with_metrics(metrics, metrics_format, || {
-                    run_events_bench(&service_cli, quick, &out_file)
-                });
-            }
-            return with_metrics(metrics, metrics_format, || {
-                run_service_bench(&service_cli, quick, &out_file)
-            });
-        }
-        let in_process = in_process_serve || addr.is_none();
-        return with_metrics(metrics, metrics_format, || {
-            run_loadgen_cmd(&service_cli, in_process)
-        });
-    }
-    let service_flags_used = addr.is_some()
-        || workers.is_some()
-        || structures.is_some()
-        || seed.is_some()
-        || queue.is_some()
-        || quota.is_some()
-        || duration.is_some()
-        || clients.is_some()
-        || requests.is_some()
-        || spec_rate.is_some()
-        || window.is_some()
-        || in_process_serve
-        || bench_out.is_some()
-        || grow.is_some();
-    if service_flags_used {
-        return Err(format!(
-            "`--addr`, `--workers`, `--structures`, `--seed`, `--queue`, `--quota`, \
-             `--duration`, `--clients`, `--requests`, `--spec-rate`, `--window`, \
-             `--grow`, `--serve` and `--bench-out` apply to the `serve` and \
-             `loadgen` commands\n\n{USAGE}"
-        ));
-    }
-    if events.is_some() || events_flag || mutation_rate.is_some() || delta_mode || full_mode {
-        return Err(format!(
-            "`--events`, `--mutation-rate`, `--delta` and `--full` apply to \
-             the `market` and `loadgen` commands\n\n{USAGE}"
-        ));
-    }
-    if positional.as_slice() == ["chaos-sockets"] {
-        if journal_path.is_some() || faults.is_some() {
-            return Err(format!(
-                "`--journal` and `--faults` apply to the `dist` command family\n\n{USAGE}"
-            ));
-        }
-        let binary = std::env::current_exe()
-            .map_err(|e| format!("cannot locate the trustseq binary: {e}"))?;
-        let report = orchestrate::socket_chaos_matrix(&binary, quick)?;
-        let json = report.to_json();
-        let out_file = out_path.as_deref().unwrap_or("BENCH_sockets.json");
-        std::fs::write(out_file, &json).map_err(|e| format!("cannot write `{out_file}`: {e}"))?;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "chaos matrix: {} runs ({} decided correct, {} undecided, {} wrong verdicts, {} hung processes)",
-            report.runs.len(),
-            report.decided_correct,
-            report.undecided,
-            report.wrong,
-            report.hung_total
-        );
-        let _ = writeln!(out, "report written to {out_file}");
-        if !report.clean() {
-            return Err(format!(
-                "{out}matrix NOT clean: wrong verdicts or hung processes detected"
-            ));
-        }
-        return Ok(out);
-    }
-    let (cmd_name, path) = match positional.as_slice() {
-        [c, p] => (*c, *p),
-        _ => return Err(USAGE.to_owned()),
-    };
-
-    if cmd_name == "journal-replay" {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-        return with_metrics(metrics, metrics_format, || run_journal_replay(&text));
-    }
-
-    if cmd_name == "dist" {
-        let source =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-        let plan = match &faults {
-            Some(wire) => wire
-                .parse::<FaultPlan>()
-                .map_err(|e| format!("bad `--faults` plan: {e}\n\n{USAGE}"))?,
-            None => FaultPlan::none(),
-        };
-        let config = ResilientConfig::default();
-        return with_metrics(metrics, metrics_format, || {
-            let (out, journal) =
-                run_dist(&source, options, &plan, &config, journal_path.is_some())?;
-            if let (Some(path), Some(text)) = (&journal_path, journal) {
-                std::fs::write(path, text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-            }
-            Ok(out)
-        });
-    }
-
-    if cmd_name == "dist-node" {
-        let net_file =
-            net_path.ok_or_else(|| format!("`dist-node` requires `--net <NET.txt>`\n\n{USAGE}"))?;
-        let id =
-            node_id.ok_or_else(|| format!("`dist-node` requires `--id <AGENT>`\n\n{USAGE}"))?;
-        let net_text = std::fs::read_to_string(&net_file)
-            .map_err(|e| format!("cannot read `{net_file}`: {e}"))?;
-        let source =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-        let plan = match &faults {
-            Some(wire) => wire
-                .parse::<FaultPlan>()
-                .map_err(|e| format!("bad `--faults` plan: {e}\n\n{USAGE}"))?,
-            None => FaultPlan::none(),
-        };
-        return run_dist_node(&net_text, &id, &source, &plan);
-    }
-
-    if cmd_name == "dist-run" {
-        let source =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-        let plan = match &faults {
-            Some(wire) => wire
-                .parse::<FaultPlan>()
-                .map_err(|e| format!("bad `--faults` plan: {e}\n\n{USAGE}"))?,
-            None => FaultPlan::none(),
-        };
-        let binary = std::env::current_exe()
-            .map_err(|e| format!("cannot locate the trustseq binary: {e}"))?;
-        let kind = transport.unwrap_or(TransportKind::Tcp);
-        return with_metrics(metrics, metrics_format, || {
-            let (out, journal) =
-                run_dist_sockets(&binary, &source, kind, &plan, journal_path.is_some())?;
-            if let (Some(path), Some(text)) = (&journal_path, journal) {
-                std::fs::write(path, text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-            }
-            Ok(out)
-        });
-    }
-
-    if net_path.is_some() || node_id.is_some() {
-        return Err(format!(
-            "`--net` and `--id` apply to the `dist-node` command\n\n{USAGE}"
-        ));
-    }
-    if transport.is_some() {
-        return Err(format!(
-            "`--transport` applies to the `dist-run` command\n\n{USAGE}"
-        ));
-    }
-    if out_path.is_some() || quick {
-        return Err(format!(
-            "`--out` and `--quick` apply to the `chaos-sockets` command\n\n{USAGE}"
-        ));
-    }
-    if journal_path.is_some() || faults.is_some() {
-        return Err(format!(
-            "`--journal` and `--faults` apply to the `dist` command\n\n{USAGE}"
-        ));
-    }
-    let command = Command::parse(cmd_name)
-        .ok_or_else(|| format!("unknown command `{cmd_name}`\n\n{USAGE}"))?;
-    let source = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    with_metrics(metrics, metrics_format, || {
-        if cache_stats {
-            let cache = trustseq_core::AnalysisCache::new();
-            let mut out = run_with_cache(command.clone(), &source, options, &cache)?;
+        if let Some(cache) = &inv.cache {
             let _ = writeln!(out, "cache: {}", cache.stats());
-            Ok(out)
-        } else {
-            run_with(command.clone(), &source, options)
         }
+        Ok(out)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The one spec entry point under the paper's semantics, uncached.
+    fn run(command: Command, source: &str) -> Result<String, String> {
+        super::run(command, source, BuildOptions::PAPER, None)
+    }
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| (*w).to_owned()).collect()
+    }
+
+    /// The parse-time rejection of a command line; parsing reads no file,
+    /// binds no socket and spawns no process.
+    fn parse_error(words: &[&str]) -> String {
+        match parse_args(&args(words)) {
+            Ok(_) => panic!("`trustseq {}` must be rejected", words.join(" ")),
+            Err(e) => e,
+        }
+    }
 
     const EXAMPLE1: &str = r#"
         exchange "example1" {
@@ -2083,11 +1951,11 @@ mod tests {
         for command in [Command::Check, Command::Advise, Command::Indemnify] {
             for source in [EXAMPLE1, EXAMPLE2] {
                 let plain = run(command.clone(), source).unwrap();
-                let cached = run_with_cache(
+                let cached = super::run(
                     command.clone(),
                     source,
                     trustseq_core::BuildOptions::PAPER,
-                    &cache,
+                    Some(&cache),
                 )
                 .unwrap();
                 assert_eq!(plain, cached);
@@ -2207,14 +2075,17 @@ mod tests {
             "x".into(),
         ])
         .unwrap_err();
-        assert!(err.contains("apply to the `dist` command"), "{err}");
+        assert!(
+            err.contains("`--journal` applies to the `dist` and `dist-run` commands, not `check`"),
+            "{err}"
+        );
         // A metrics run appends the snapshot to the command output.
         let out =
-            with_metrics(true, MetricsFormat::Table, || run(Command::Check, EXAMPLE1)).unwrap();
+            with_metrics(Some(MetricsFormat::Table), || run(Command::Check, EXAMPLE1)).unwrap();
         assert!(out.contains("metrics:"), "{out}");
         assert!(out.contains("reduce.runs"), "{out}");
         let out =
-            with_metrics(true, MetricsFormat::Json, || run(Command::Check, EXAMPLE1)).unwrap();
+            with_metrics(Some(MetricsFormat::Json), || run(Command::Check, EXAMPLE1)).unwrap();
         assert!(out.contains("\"reduce.runs\""), "{out}");
     }
 
@@ -2253,7 +2124,10 @@ mod tests {
         // --samples/--stream are sweep-only.
         let err = main_with_args(&["--samples".into(), "10".into(), "check".into(), "x".into()])
             .unwrap_err();
-        assert!(err.contains("apply to the `sweep` command"), "{err}");
+        assert!(
+            err.contains("`--samples` applies to the `sweep` command, not `check`"),
+            "{err}"
+        );
         // Malformed or missing values are rejected up front.
         for bad in [
             vec!["sweep".to_owned(), "--samples".to_owned()],
@@ -2270,7 +2144,12 @@ mod tests {
         // --journal/--faults stay dist-only even for sweep.
         let err =
             main_with_args(&["sweep".into(), "--faults".into(), "seed=1".into()]).unwrap_err();
-        assert!(err.contains("apply to the `dist` command"), "{err}");
+        assert!(
+            err.contains(
+                "`--faults` applies to the `dist`, `dist-run` and `dist-node` commands, not `sweep`"
+            ),
+            "{err}"
+        );
     }
 
     #[test]
@@ -2327,17 +2206,17 @@ mod tests {
         let err = main_with_args(&["--events".into(), "10".into(), "check".into(), "x".into()])
             .unwrap_err();
         assert!(
-            err.contains("apply to the `market` and `loadgen` commands"),
+            err.contains("`--events` applies to the `market` and `loadgen` commands, not `check`"),
             "{err}"
         );
         let err = main_with_args(&["--events".into(), "check".into(), "x".into()]).unwrap_err();
         assert!(
-            err.contains("apply to the `market` and `loadgen` commands"),
+            err.contains("`--events` applies to the `market` and `loadgen` commands, not `check`"),
             "{err}"
         );
         let err = main_with_args(&["sweep".into(), "--delta".into()]).unwrap_err();
         assert!(
-            err.contains("apply to the `market` and `loadgen` commands"),
+            err.contains("`--delta` applies to the `market` command, not `sweep`"),
             "{err}"
         );
         // The two maintenance modes cannot be combined.
@@ -2358,7 +2237,10 @@ mod tests {
         }
         // --samples stays sweep-only even for market.
         let err = main_with_args(&["market".into(), "--samples".into(), "10".into()]).unwrap_err();
-        assert!(err.contains("apply to the `sweep` command"), "{err}");
+        assert!(
+            err.contains("`--samples` applies to the `sweep` command, not `market`"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -2380,7 +2262,10 @@ mod tests {
         // --net/--id are dist-node-only.
         let err = main_with_args(&["--net".into(), "n.txt".into(), "check".into(), "x".into()])
             .unwrap_err();
-        assert!(err.contains("apply to the `dist-node` command"), "{err}");
+        assert!(
+            err.contains("`--net` applies to the `dist-node` command, not `check`"),
+            "{err}"
+        );
         // --transport is dist-run-only and validates its value.
         let err = main_with_args(&["--transport".into(), "carrier-pigeon".into()]).unwrap_err();
         assert!(err.contains("`tcp` or `unix`"), "{err}");
@@ -2395,7 +2280,9 @@ mod tests {
         // --out/--quick are chaos-sockets-only.
         let err = main_with_args(&["--quick".into(), "check".into(), "x".into()]).unwrap_err();
         assert!(
-            err.contains("apply to the `chaos-sockets` command"),
+            err.contains(
+                "`--quick` applies to the `chaos-sockets` and `loadgen` commands, not `check`"
+            ),
             "{err}"
         );
         // dist-node demands its required flags.
@@ -2445,5 +2332,448 @@ mod tests {
             main_with_args(&["--threads".into(), absurd, "check".into(), "x".into()]).unwrap_err();
         assert!(err.contains("between 1 and"), "{err}");
         assert!(err.contains("available parallelism"), "{err}");
+        // The width is set only once the whole line is valid.
+        let width = if trustseq_core::pool::size() == 3 {
+            5
+        } else {
+            3
+        };
+        let err = main_with_args(&args(&["--threads", &width.to_string(), "--bogus"])).unwrap_err();
+        assert!(err.contains("unknown flag `--bogus`"), "{err}");
+        assert_ne!(trustseq_core::pool::size(), width);
+    }
+
+    #[test]
+    fn usage_declares_each_flag_and_command_once() {
+        let words: Vec<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .collect();
+        for flag in FLAGS {
+            let uses = words.iter().filter(|w| **w == flag.name()).count();
+            assert_eq!(uses, 1, "`{}` in\n{}", flag.name(), *USAGE);
+            let (Only(names) | AllBut(names)) = flag.scope;
+            for name in names.split_whitespace() {
+                assert!(
+                    COMMANDS.iter().any(|c| c.name() == name),
+                    "`{}` names unknown command `{name}`",
+                    flag.name()
+                );
+            }
+        }
+        for command in COMMANDS {
+            let entries = USAGE
+                .lines()
+                .filter(|l| {
+                    l.strip_prefix("    ")
+                        .is_some_and(|l| l.split(' ').next() == Some(command.name()))
+                })
+                .count();
+            assert_eq!(entries, 1, "`{}` in\n{}", command.name(), *USAGE);
+        }
+    }
+
+    /// A well-formed value for `flag`, when it takes one.
+    fn sample_value(flag: &Flag) -> Option<&'static str> {
+        match flag.kind {
+            Switch(_) => None,
+            Count { .. } | OptionalCount(..) => Some("2"),
+            Probability(_) | Rate(_) => Some("0.5"),
+            Seed(_) => Some("7"),
+            Text(_) => Some("x"),
+            Plan(_) => Some("seed=1;drop=100"),
+            Choice(words, _) => Some(words[0]),
+        }
+    }
+
+    #[test]
+    fn every_flag_is_rejected_outside_its_scope() {
+        for flag in FLAGS {
+            let takers: Vec<&str> = COMMANDS
+                .iter()
+                .map(|c| c.name())
+                .filter(|c| flag.scope.includes(c))
+                .collect();
+            assert!(!takers.is_empty(), "`{}` applies nowhere", flag.name());
+            for command in COMMANDS {
+                let mut words = vec![command.name()];
+                if !split_usage(command.usage).1.is_empty() {
+                    words.push("/nonexistent.tseq");
+                }
+                words.push(flag.name());
+                words.extend(sample_value(flag));
+                let result = parse_args(&args(&words));
+                if flag.scope.includes(command.name()) {
+                    // In scope: whatever else may be missing, not the scope.
+                    if let Err(e) = result {
+                        assert!(!e.contains(" applies to "), "{}: {e}", words.join(" "));
+                    }
+                    continue;
+                }
+                let err = result
+                    .err()
+                    .unwrap_or_else(|| panic!("{} parsed", words.join(" ")));
+                let head = format!("`{}` applies to the ", flag.name());
+                assert!(err.starts_with(&head), "{err}");
+                assert!(
+                    err.ends_with(&format!(", not `{}`", command.name())),
+                    "{err}"
+                );
+                for taker in &takers {
+                    assert!(err.contains(&format!("`{taker}`")), "{err}");
+                }
+            }
+        }
+        // Pairs whose flag the command would otherwise ignore.
+        for (words, flag) in [
+            (
+                &["dist", "s.tseq", "--transport", "unix"][..],
+                "--transport",
+            ),
+            (&["dist", "s.tseq", "--net", "foo"], "--net"),
+            (&["dist", "s.tseq", "--cache-stats"], "--cache-stats"),
+            (&["sweep", "--extended"], "--extended"),
+            (&["sweep", "--transport", "unix"], "--transport"),
+            (&["sweep", "--out", "x"], "--out"),
+            (&["market", "--quick"], "--quick"),
+            (&["serve", "--extended", "--cache-stats"], "--extended"),
+            (&["loadgen", "--extended", "--cache-stats"], "--extended"),
+            (
+                &["dist-run", "s.tseq", "--cache-stats", "--out", "x"],
+                "--cache-stats",
+            ),
+            (&["indemnify", "--extended", "s.tseq"], "--extended"),
+            (&["dist-run", "--extended", "s.tseq"], "--extended"),
+            (
+                &[
+                    "dist-node",
+                    "--net",
+                    "n",
+                    "--id",
+                    "a0",
+                    "s.tseq",
+                    "--metrics",
+                ],
+                "--metrics",
+            ),
+            (&["chaos-sockets", "--metrics"], "--metrics"),
+        ] {
+            let err = parse_error(words);
+            assert!(err.starts_with(&format!("`{flag}` applies to")), "{err}");
+        }
+        for extra in [
+            &["--faults", "seed=1;drop=900"][..],
+            &["--journal", "j2.jsonl"],
+            &["--transport", "unix"],
+            &["--net", "n"],
+            &["--id", "a0"],
+            &["--out", "x"],
+            &["--quick"],
+            &["--extended"],
+            &["--cache-stats"],
+        ] {
+            let mut words = vec!["journal-replay", "j.jsonl"];
+            words.extend_from_slice(extra);
+            let err = parse_error(&words);
+            assert!(
+                err.starts_with(&format!("`{}` applies to", extra[0])),
+                "{err}"
+            );
+            assert!(err.ends_with("not `journal-replay`"), "{err}");
+        }
+    }
+
+    #[test]
+    fn stray_positionals_are_named() {
+        for (words, stray) in [
+            (&["market", "foo"][..], "foo"),
+            (&["sweep", "extra"], "extra"),
+            (&["serve", "extra"], "extra"),
+            (
+                &[
+                    "loadgen",
+                    "--events",
+                    "--requests",
+                    "10",
+                    "--quick",
+                    "extra",
+                ],
+                "extra",
+            ),
+            (&["chaos-sockets", "extra", "--quick"], "extra"),
+            (&["market", "--events", "-5"], "-5"),
+            (&["check", "a.tseq", "b.tseq"], "b.tseq"),
+        ] {
+            let err = parse_error(words);
+            assert!(
+                err.starts_with(&format!("stray argument `{stray}`")),
+                "{err}"
+            );
+        }
+        assert!(parse_error(&["check"]).contains("`check` expects <SPEC.tseq>"));
+    }
+
+    /// Every `trustseq` argument list the repository documents, runs in CI
+    /// or spawns, with the file it comes from.
+    const TRAFFIC: &[(&str, &[&str])] = &[
+        (
+            ".github/workflows/ci.yml",
+            &[
+                "dist",
+                "specs/example1.tseq",
+                "--faults",
+                "seed=7;drop=200;dup=50;delay=2;corrupt=100",
+                "--journal",
+                "/tmp/run.jsonl",
+                "--metrics",
+            ],
+        ),
+        (
+            ".github/workflows/ci.yml",
+            &["journal-replay", "/tmp/run.jsonl"],
+        ),
+        (
+            ".github/workflows/ci.yml",
+            &["market", "--events", "500", "--delta"],
+        ),
+        (
+            ".github/workflows/ci.yml",
+            &["market", "--events", "500", "--full"],
+        ),
+        (
+            ".github/workflows/ci.yml",
+            &["serve", "--addr", "127.0.0.1:7431", "--duration", "30"],
+        ),
+        (
+            ".github/workflows/ci.yml",
+            &["loadgen", "--addr", "127.0.0.1:7431", "--quick"],
+        ),
+        (
+            ".github/workflows/ci.yml",
+            &[
+                "loadgen",
+                "--quick",
+                "--bench-out",
+                "/tmp/BENCH_service.json",
+            ],
+        ),
+        (
+            ".github/workflows/ci.yml",
+            &["loadgen", "--quick", "--events", "--grow", "8"],
+        ),
+        (
+            ".github/workflows/ci.yml",
+            &[
+                "loadgen",
+                "--quick",
+                "--events",
+                "--bench-out",
+                "/tmp/BENCH_events.json",
+            ],
+        ),
+        ("README.md", &["check", "specs/example2.tseq"]),
+        ("README.md", &["sequence", "specs/example1.tseq"]),
+        ("README.md", &["indemnify", "specs/figure7.tseq"]),
+        ("README.md", &["advise", "specs/example2.tseq"]),
+        ("README.md", &["simulate", "specs/example1.tseq"]),
+        ("README.md", &["cost", "specs/example1.tseq"]),
+        ("README.md", &["dot", "specs/example1.tseq"]),
+        (
+            "README.md",
+            &[
+                "dist",
+                "specs/example1.tseq",
+                "--metrics",
+                "--faults",
+                "seed=7;drop=200;dup=50;delay=2;corrupt=50",
+                "--journal",
+                "run.jsonl",
+            ],
+        ),
+        ("README.md", &["journal-replay", "run.jsonl"]),
+        (
+            "README.md",
+            &["sweep", "--samples", "100000", "--stream", "64"],
+        ),
+        (
+            "README.md",
+            &[
+                "market",
+                "--events",
+                "2000",
+                "--mutation-rate",
+                "0.2",
+                "--delta",
+            ],
+        ),
+        ("README.md", &["dist-run", "specs/example1.tseq"]),
+        (
+            "README.md",
+            &["dist-run", "--transport", "unix", "specs/example1.tseq"],
+        ),
+        (
+            "README.md",
+            &["dist-node", "--net", "net.txt", "--id", "a0", "spec.tseq"],
+        ),
+        ("README.md", &["chaos-sockets"]),
+        (
+            "README.md",
+            &[
+                "serve",
+                "--addr",
+                "127.0.0.1:7421",
+                "--workers",
+                "2",
+                "--structures",
+                "32",
+            ],
+        ),
+        (
+            "README.md",
+            &[
+                "loadgen",
+                "--addr",
+                "127.0.0.1:7421",
+                "--requests",
+                "1000000",
+                "--clients",
+                "4",
+            ],
+        ),
+        ("README.md", &["loadgen", "--quick"]),
+        (
+            "README.md",
+            &["loadgen", "--quick", "--bench-out", "BENCH_service.json"],
+        ),
+        (
+            "README.md",
+            &[
+                "loadgen",
+                "--events",
+                "--grow",
+                "8",
+                "--requests",
+                "20000",
+                "--clients",
+                "2",
+                "--structures",
+                "16",
+            ],
+        ),
+        (
+            "README.md",
+            &["loadgen", "--events", "--bench-out", "BENCH_events.json"],
+        ),
+        ("verify SKILL.md", &["check", "specs/example1.tseq"]),
+        ("verify SKILL.md", &["check", "specs/example2.tseq"]),
+        ("verify SKILL.md", &["sequence", "specs/example1.tseq"]),
+        ("verify SKILL.md", &["advise", "specs/example2.tseq"]),
+        (
+            "verify SKILL.md",
+            &[
+                "dist",
+                "specs/example1.tseq",
+                "--metrics",
+                "--faults",
+                "seed=7;drop=200;dup=50;delay=2;corrupt=100",
+                "--journal",
+                "/tmp/run.jsonl",
+            ],
+        ),
+        ("verify SKILL.md", &["journal-replay", "/tmp/run.jsonl"]),
+        (
+            "verify SKILL.md",
+            &["serve", "--addr", "127.0.0.1:7433", "--duration", "20"],
+        ),
+        (
+            "verify SKILL.md",
+            &[
+                "serve",
+                "--addr",
+                "127.0.0.1:7433",
+                "--duration",
+                "20",
+                "--quota",
+                "5000",
+            ],
+        ),
+        (
+            "verify SKILL.md",
+            &[
+                "loadgen",
+                "--addr",
+                "127.0.0.1:7433",
+                "--requests",
+                "100000",
+                "--clients",
+                "3",
+            ],
+        ),
+        ("verify SKILL.md", &["loadgen", "--quick"]),
+        (
+            "perfbench/src/server.rs",
+            &[
+                "serve",
+                "--addr",
+                "127.0.0.1:0",
+                "--workers",
+                "1",
+                "--structures",
+                "64",
+                "--seed",
+                "1011",
+            ],
+        ),
+        (
+            "perfbench/src/server.rs",
+            &[
+                "serve",
+                "--addr",
+                "127.0.0.1:0",
+                "--workers",
+                "1",
+                "--structures",
+                "64",
+                "--seed",
+                "1011",
+                "--metrics",
+                "--metrics-format",
+                "json",
+                "--duration",
+                "8",
+            ],
+        ),
+        (
+            "src/orchestrate.rs",
+            &[
+                "dist-node",
+                "--net",
+                "/tmp/run/net.txt",
+                "--id",
+                "a0",
+                "/tmp/run/run.tseq",
+            ],
+        ),
+        (
+            "src/orchestrate.rs",
+            &[
+                "dist-node",
+                "--net",
+                "/tmp/run/net.txt",
+                "--id",
+                "a3",
+                "--faults",
+                "seed=5;drop=200;dup=100;delay=2",
+                "/tmp/run/run.tseq",
+            ],
+        ),
+    ];
+
+    #[test]
+    fn documented_invocations_parse() {
+        for (source, words) in TRAFFIC {
+            if let Err(e) = parse_args(&args(words)) {
+                panic!("{source}: `trustseq {}` is rejected: {e}", words.join(" "));
+            }
+        }
     }
 }

@@ -219,3 +219,50 @@ fn loadgen_event_mode_smoke_run_passes_its_gates() {
     assert!(stdout.contains("0 wrong verdicts"), "{stdout}");
     assert!(stdout.contains("0/6 structure hash mismatches"), "{stdout}");
 }
+
+/// A flag its command never reads is rejected before the command runs, so
+/// it cannot quietly change the question answered: `indemnify` and
+/// `dist-run` do not read `--extended`, and `journal-replay` replays the
+/// fault plan recorded in the journal's header, not `--faults`.
+#[test]
+fn flags_a_command_would_ignore_are_rejected() {
+    let extended = "`--extended` applies to the `check`, `sequence`, `protocol`, `dot`, \
+                    `simulate` and `dist` commands";
+    let (ok, stdout, stderr) = trustseq(&["indemnify", "--extended", "specs/shared_escrow.tseq"]);
+    assert!(!ok);
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(
+        stderr.starts_with(&format!("{extended}, not `indemnify`\n")),
+        "{stderr}"
+    );
+
+    // Rejected while parsing the command line, before the supervisor binds
+    // a socket or spawns a node process: nothing reaches stdout, and the
+    // scope error is the first thing on stderr.
+    let (ok, stdout, stderr) = trustseq(&["dist-run", "--extended", "specs/shared_escrow.tseq"]);
+    assert!(!ok);
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(
+        stderr.starts_with(&format!("{extended}, not `dist-run`\n")),
+        "{stderr}"
+    );
+
+    let dir = std::env::temp_dir().join(format!("trustseq-scope-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("run.jsonl");
+    let journal = journal.to_str().unwrap();
+    let (ok, _, stderr) = trustseq(&["dist", "specs/example1.tseq", "--journal", journal]);
+    assert!(ok, "{stderr}");
+    let (ok, stdout, stderr) =
+        trustseq(&["journal-replay", journal, "--faults", "seed=1;drop=900"]);
+    assert!(!ok);
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(
+        stderr.starts_with(
+            "`--faults` applies to the `dist`, `dist-run` and `dist-node` commands, \
+             not `journal-replay`\n"
+        ),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
