@@ -625,64 +625,58 @@ impl ServiceRequest {
     /// Decodes a frame produced by [`to_wire`](Self::to_wire). Malformed
     /// frames are typed [`CodecError`]s, never panics — the server turns
     /// them into [`RejectReason::Malformed`] or a dropped connection.
+    ///
+    /// This is the server's per-request parse, so it walks the frame once
+    /// with a field cursor and parses numerals by hand. Numerals follow
+    /// `str::parse`: an optional `+`, then decimal digits (leading zeros
+    /// allowed) whose value fits the slot. The error is the one a
+    /// split-then-parse decoder reports: a missing or misnamed field
+    /// first, then the first unparseable value, then a trailing field.
     pub fn from_wire(frame: &str) -> Result<Self, CodecError> {
+        let mut fields = Fields::new(frame);
+        let tag = fields.tag();
         // `analyzespec` carries a verbatim tail that may itself contain
-        // `;`, so it is peeled off before the field-by-field path.
-        if let Some(rest) = frame.strip_prefix("analyzespec;") {
-            let rest = rest
-                .strip_prefix("seq=")
-                .ok_or_else(|| bad(rest, "seq=<u64>"))?;
-            let (seq, rest) = rest
-                .split_once(';')
-                .ok_or_else(|| bad(rest, "seq=<u64>;spec=<source>"))?;
-            let seq = seq.parse().map_err(|_| bad(seq, "a u64 sequence number"))?;
-            let spec = rest
-                .strip_prefix("spec=")
-                .ok_or_else(|| bad(rest, "spec=<source>"))?;
-            return Ok(ServiceRequest::AnalyzeSpec {
-                seq,
-                spec: spec.to_string(),
-            });
+        // `;`, so it leaves the field-by-field path after the tag.
+        if let ("analyzespec", Some(rest)) = (tag, fields.rest()) {
+            return analyze_spec(rest);
         }
-        let mut fields = frame.split(';');
-        let tag = fields.next().unwrap_or_default();
         let request = match tag {
             "analyze" => {
-                let seq = expect_field(fields.next(), "seq", "seq=<u64>")?;
-                let id = expect_field(fields.next(), "id", "id=<u32>")?;
+                let seq = fields.value("seq", "seq=<u64>")?;
+                let id = fields.value("id", "id=<u32>")?;
                 ServiceRequest::Analyze {
-                    seq: seq.parse().map_err(|_| bad(seq, "a u64 sequence number"))?,
-                    id: id.parse().map_err(|_| bad(id, "a u32 structure id"))?,
+                    seq: numeral(seq, SEQ)?,
+                    id: numeral(id, "a u32 structure id")?,
                 }
             }
             "mutate" => {
-                let seq = expect_field(fields.next(), "seq", "seq=<u64>")?;
-                let id = expect_field(fields.next(), "id", "id=<u32>")?;
-                let op = expect_field(fields.next(), "op", "op=<accept|cancel|post|expire>")?;
-                let slot = expect_field(fields.next(), "slot", "slot=<u32>")?;
+                let seq = fields.value("seq", "seq=<u64>")?;
+                let id = fields.value("id", "id=<u32>")?;
+                let op = fields.value("op", OP)?;
+                let slot = fields.value("slot", "slot=<u32>")?;
                 ServiceRequest::Mutate {
-                    seq: seq.parse().map_err(|_| bad(seq, "a u64 sequence number"))?,
-                    id: id.parse().map_err(|_| bad(id, "a u32 structure id"))?,
+                    seq: numeral(seq, SEQ)?,
+                    id: numeral(id, "a u32 structure id")?,
                     op: ServiceOp::from_token(op)?,
-                    slot: slot.parse().map_err(|_| bad(slot, "a u32 slot index"))?,
+                    slot: numeral(slot, SLOT)?,
                 }
             }
             "event" => {
-                let seq = expect_field(fields.next(), "seq", "seq=<u64>")?;
-                let id = expect_field(fields.next(), "id", "id=<u64>")?;
-                let op = expect_field(fields.next(), "op", "op=<accept|cancel|post|expire>")?;
-                let slot = expect_field(fields.next(), "slot", "slot=<u32>")?;
+                let seq = fields.value("seq", "seq=<u64>")?;
+                let id = fields.value("id", "id=<u64>")?;
+                let op = fields.value("op", OP)?;
+                let slot = fields.value("slot", "slot=<u32>")?;
                 ServiceRequest::Event {
-                    seq: seq.parse().map_err(|_| bad(seq, "a u64 sequence number"))?,
-                    id: id.parse().map_err(|_| bad(id, "a u64 structure id"))?,
+                    seq: numeral(seq, SEQ)?,
+                    id: numeral(id, "a u64 structure id")?,
                     op: ServiceOp::from_token(op)?,
-                    slot: slot.parse().map_err(|_| bad(slot, "a u32 slot index"))?,
+                    slot: numeral(slot, SLOT)?,
                 }
             }
             "stats" => {
-                let seq = expect_field(fields.next(), "seq", "seq=<u64>")?;
+                let seq = fields.value("seq", "seq=<u64>")?;
                 ServiceRequest::Stats {
-                    seq: seq.parse().map_err(|_| bad(seq, "a u64 sequence number"))?,
+                    seq: numeral(seq, SEQ)?,
                 }
             }
             _ => {
@@ -692,11 +686,129 @@ impl ServiceRequest {
                 ))
             }
         };
-        if let Some(extra) = fields.next() {
-            return Err(bad(extra, "end of frame"));
-        }
+        fields.finish()?;
         Ok(request)
     }
+}
+
+const SEQ: &str = "a u64 sequence number";
+const SLOT: &str = "a u32 slot index";
+const OP: &str = "op=<accept|cancel|post|expire>";
+
+/// The `analyzespec` body after its tag: `seq=<u64>;spec=<source>`.
+fn analyze_spec(rest: &str) -> Result<ServiceRequest, CodecError> {
+    let rest = rest
+        .strip_prefix("seq=")
+        .ok_or_else(|| bad(rest, "seq=<u64>"))?;
+    let (seq, rest) = rest
+        .split_once(';')
+        .ok_or_else(|| bad(rest, "seq=<u64>;spec=<source>"))?;
+    let seq = numeral(seq, SEQ)?;
+    let spec = rest
+        .strip_prefix("spec=")
+        .ok_or_else(|| bad(rest, "spec=<source>"))?;
+    Ok(ServiceRequest::AnalyzeSpec {
+        seq,
+        spec: spec.to_string(),
+    })
+}
+
+/// Parses `value` into the slot's own integer type, so a numeral too
+/// wide for it is an error, never truncated.
+fn numeral<T: TryFrom<u64>>(value: &str, expected: &'static str) -> Result<T, CodecError> {
+    decimal(value.as_bytes())
+        .and_then(|n| T::try_from(n).ok())
+        .ok_or_else(|| bad(value, expected))
+}
+
+/// `str::parse`'s unsigned-integer grammar: an optional `+`, then at least
+/// one decimal digit.
+fn decimal(numeral: &[u8]) -> Option<u64> {
+    let digits = numeral.strip_prefix(b"+").unwrap_or(numeral);
+    if digits.is_empty() {
+        return None;
+    }
+    let mut n = 0u64;
+    for &b in digits {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        n = n.checked_mul(10)?.checked_add(u64::from(digit))?;
+    }
+    Some(n)
+}
+
+/// A cursor over the `;`-separated fields of one service request frame.
+/// It finds each field with one byte scan and checks its key in place,
+/// where `split` + `split_once` search every field twice.
+struct Fields<'a> {
+    frame: &'a str,
+    /// Start of the next unread field; `None` once the frame is used up.
+    next: Option<usize>,
+}
+
+impl<'a> Fields<'a> {
+    fn new(frame: &'a str) -> Self {
+        Fields {
+            frame,
+            next: Some(0),
+        }
+    }
+
+    /// The field starting at byte `at` and where the one after it starts.
+    fn field_at(&self, at: usize) -> (&'a str, Option<usize>) {
+        match self.frame.as_bytes()[at..].iter().position(|&b| b == b';') {
+            Some(len) => (&self.frame[at..at + len], Some(at + len + 1)),
+            None => (&self.frame[at..], None),
+        }
+    }
+
+    /// The first field. Every frame has one, if only the empty string.
+    fn tag(&mut self) -> &'a str {
+        let (tag, next) = self.field_at(0);
+        self.next = next;
+        tag
+    }
+
+    /// Everything after the tag, separators included.
+    fn rest(&self) -> Option<&'a str> {
+        self.next.map(|at| &self.frame[at..])
+    }
+
+    /// The next field's value, which must be spelled `key=<value>`.
+    fn value(&mut self, key: &str, expected: &'static str) -> Result<&'a str, CodecError> {
+        let at = self.next.ok_or_else(|| bad("", expected))?;
+        let (field, next) = self.field_at(at);
+        self.next = next;
+        field
+            .strip_prefix(key)
+            .and_then(|value| value.strip_prefix('='))
+            .ok_or_else(|| bad(field, expected))
+    }
+
+    /// An error for the first field left over, if any.
+    fn finish(self) -> Result<(), CodecError> {
+        match self.next {
+            Some(at) => Err(bad(self.field_at(at).0, "end of frame")),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Appends `n` in decimal.
+fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
 }
 
 /// A point-in-time server counters snapshot carried by
@@ -784,37 +896,56 @@ impl ServiceReply {
     /// Encodes the reply as its canonical wire frame;
     /// [`from_wire`](Self::from_wire) inverts it exactly.
     pub fn to_wire(&self) -> String {
-        match self {
+        let mut out = Vec::new();
+        self.write_wire(&mut out);
+        String::from_utf8(out).expect("reply frames are ASCII")
+    }
+
+    /// Appends the [`to_wire`](Self::to_wire) text to `out` in one pass,
+    /// with no intermediate string: the server writes each reply straight
+    /// into its per-connection output buffer this way.
+    pub fn write_wire(&self, out: &mut Vec<u8>) {
+        let field = |out: &mut Vec<u8>, key: &[u8], value: u64| {
+            out.extend_from_slice(key);
+            push_decimal(out, value);
+        };
+        match *self {
             ServiceReply::Verdict {
                 seq,
                 feasible,
                 remaining,
                 remaining_red,
-            } => format!(
-                "verdict;seq={seq};feasible={};remaining={remaining};red={remaining_red}",
-                u8::from(*feasible)
-            ),
+            } => {
+                field(out, b"verdict;seq=", seq);
+                field(out, b";feasible=", u64::from(feasible));
+                field(out, b";remaining=", u64::from(remaining));
+                field(out, b";red=", u64::from(remaining_red));
+            }
             ServiceReply::EventVerdict {
                 seq,
                 feasible,
                 remaining,
                 hash,
-            } => format!(
-                "everdict;seq={seq};feasible={};remaining={remaining};hash={hash}",
-                u8::from(*feasible)
-            ),
-            ServiceReply::Stats { seq, stats } => format!(
-                "svcstats;seq={seq};structures={};accepted={};rejected={};queue={};conns={};hits={};misses={}",
-                stats.structures,
-                stats.accepted,
-                stats.rejected,
-                stats.queue_depth,
-                stats.connections,
-                stats.cache_hits,
-                stats.cache_misses
-            ),
+            } => {
+                field(out, b"everdict;seq=", seq);
+                field(out, b";feasible=", u64::from(feasible));
+                field(out, b";remaining=", u64::from(remaining));
+                field(out, b";hash=", hash);
+            }
+            ServiceReply::Stats { seq, stats } => {
+                field(out, b"svcstats;seq=", seq);
+                field(out, b";structures=", u64::from(stats.structures));
+                field(out, b";accepted=", stats.accepted);
+                field(out, b";rejected=", stats.rejected);
+                field(out, b";queue=", u64::from(stats.queue_depth));
+                field(out, b";conns=", u64::from(stats.connections));
+                field(out, b";hits=", stats.cache_hits);
+                field(out, b";misses=", stats.cache_misses);
+            }
             ServiceReply::Rejected { seq, reason } => {
-                format!("rejected;seq={seq};reason={}", reason.token())
+                field(out, b"rejected;seq=", seq);
+                out.extend_from_slice(b";reason=");
+                out.extend_from_slice(reason.token().as_bytes());
             }
         }
     }

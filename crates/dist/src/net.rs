@@ -135,6 +135,36 @@ pub fn encode_frame(frame: &str) -> Result<Vec<u8>, FrameError> {
     Ok(out)
 }
 
+/// Appends one length-prefixed frame to `out` whose payload `payload`
+/// writes in place, behind a length header patched in afterwards: no
+/// intermediate string, no second copy. A payload over [`MAX_FRAME_LEN`]
+/// is taken back out and reported as [`FrameError::TooLarge`].
+///
+/// ```
+/// use trustseq_dist::net::{encode_frame, write_frame};
+/// let mut out = Vec::new();
+/// write_frame(&mut out, |out| out.extend_from_slice(b"ack;seq=7")).unwrap();
+/// assert_eq!(out, encode_frame("ack;seq=7").unwrap());
+/// ```
+pub fn write_frame(
+    out: &mut Vec<u8>,
+    payload: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), FrameError> {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    payload(out);
+    let len = out.len() - start - FRAME_HEADER_LEN;
+    if len > MAX_FRAME_LEN {
+        out.truncate(start);
+        return Err(FrameError::TooLarge {
+            announced: len,
+            limit: MAX_FRAME_LEN,
+        });
+    }
+    out[start..start + FRAME_HEADER_LEN].copy_from_slice(&(len as u32).to_be_bytes());
+    Ok(())
+}
+
 /// Incremental frame reassembler. Feed it whatever byte chunks the socket
 /// hands you ([`push`](Self::push)), drain complete frames with
 /// [`next`](Self::next), and call [`finish`](Self::finish) at EOF to learn
@@ -197,26 +227,36 @@ impl FrameDecoder {
     /// announcement or non-UTF-8 payload). After an error the decoder is
     /// poisoned in practice — the connection should be dropped.
     pub fn next_frame(&mut self) -> Result<Option<String>, FrameError> {
-        let pending = &self.buf[self.consumed..];
+        Ok(self.next_frame_str()?.map(str::to_owned))
+    }
+
+    /// [`next_frame`](Self::next_frame) without the copy: the frame is
+    /// lent straight out of the decoder's buffer until the next call.
+    pub fn next_frame_str(&mut self) -> Result<Option<&str>, FrameError> {
+        let FrameDecoder {
+            buf,
+            consumed,
+            max_frame,
+        } = self;
+        let pending = &buf[*consumed..];
         if pending.len() < FRAME_HEADER_LEN {
             return Ok(None);
         }
         let announced = u32::from_be_bytes([pending[0], pending[1], pending[2], pending[3]]);
         let announced = announced as usize;
-        if announced > self.max_frame {
+        if announced > *max_frame {
             return Err(FrameError::TooLarge {
                 announced,
-                limit: self.max_frame,
+                limit: *max_frame,
             });
         }
         if pending.len() < FRAME_HEADER_LEN + announced {
             return Ok(None);
         }
         let payload = &pending[FRAME_HEADER_LEN..FRAME_HEADER_LEN + announced];
-        let frame = std::str::from_utf8(payload)
-            .map_err(|_| FrameError::Utf8 { len: announced })?
-            .to_string();
-        self.consumed += FRAME_HEADER_LEN + announced;
+        let frame =
+            std::str::from_utf8(payload).map_err(|_| FrameError::Utf8 { len: announced })?;
+        *consumed += FRAME_HEADER_LEN + announced;
         Ok(Some(frame))
     }
 
@@ -650,6 +690,41 @@ mod tests {
         }
         assert_eq!(n, 50);
         assert_eq!(dec.pending_bytes(), 0);
+    }
+
+    #[test]
+    fn lent_frames_match_owned_ones() {
+        let mut wire = Vec::new();
+        for i in 0..5u64 {
+            write_frame(&mut wire, |out| {
+                out.extend_from_slice(format!("ack;seq={i}").as_bytes())
+            })
+            .unwrap();
+        }
+        let (mut owned, mut lent) = (FrameDecoder::new(), FrameDecoder::new());
+        owned.push(&wire);
+        lent.push(&wire);
+        while let Some(frame) = owned.next_frame().unwrap() {
+            assert_eq!(lent.next_frame_str().unwrap(), Some(frame.as_str()));
+        }
+        assert_eq!(lent.next_frame_str().unwrap(), None);
+        assert_eq!(lent.pending_bytes(), 0);
+    }
+
+    #[test]
+    fn an_oversized_written_frame_is_taken_back_out() {
+        let mut out = encode_frame("ack;seq=1").unwrap();
+        let err = write_frame(&mut out, |out| {
+            out.resize(out.len() + MAX_FRAME_LEN + 1, b'x')
+        });
+        assert_eq!(
+            err,
+            Err(FrameError::TooLarge {
+                announced: MAX_FRAME_LEN + 1,
+                limit: MAX_FRAME_LEN
+            })
+        );
+        assert_eq!(out, encode_frame("ack;seq=1").unwrap());
     }
 
     #[test]

@@ -11,8 +11,11 @@
 
 use proptest::prelude::*;
 use trustseq_core::{EdgeId, Rule};
-use trustseq_dist::net::{encode_frame, FrameDecoder, FrameError, FRAME_HEADER_LEN};
-use trustseq_dist::{Message, NodeStatus, Packet, ServiceOp, ServiceReply, ServiceRequest};
+use trustseq_dist::net::{encode_frame, write_frame, FrameDecoder, FrameError, FRAME_HEADER_LEN};
+use trustseq_dist::{
+    Message, NodeStatus, Packet, RejectReason, ServiceOp, ServiceReply, ServiceRequest,
+    ServiceStats,
+};
 use trustseq_model::AgentId;
 
 /// Builds one of every packet shape deterministically from primitive
@@ -350,5 +353,297 @@ proptest! {
         prop_assert_eq!(decode_reencode(&wide_frame), None, "{}", wide_frame);
         let frame = U32_SLOTS[slot].replace("{}", &fits.to_string());
         prop_assert_eq!(decode_reencode(&frame), Some(frame.clone()));
+    }
+}
+
+/// The split-then-parse request decoder and the `format!` reply encoder
+/// that the server's single-pass codec replaced, kept as its oracle.
+mod oracle {
+    use trustseq_dist::{CodecError, RejectReason, ServiceOp, ServiceReply, ServiceRequest};
+
+    fn bad(fragment: &str, expected: &'static str) -> CodecError {
+        CodecError {
+            fragment: fragment.to_string(),
+            expected,
+        }
+    }
+
+    fn expect_field<'a>(
+        field: Option<&'a str>,
+        key: &'static str,
+        expected: &'static str,
+    ) -> Result<&'a str, CodecError> {
+        let field = field.ok_or_else(|| bad("", expected))?;
+        match field.split_once('=') {
+            Some((k, v)) if k == key => Ok(v),
+            _ => Err(bad(field, expected)),
+        }
+    }
+
+    fn op(s: &str) -> Result<ServiceOp, CodecError> {
+        match s {
+            "accept" => Ok(ServiceOp::Accept),
+            "cancel" => Ok(ServiceOp::Cancel),
+            "post" => Ok(ServiceOp::Post),
+            "expire" => Ok(ServiceOp::Expire),
+            _ => Err(bad(s, "an op: accept, cancel, post or expire")),
+        }
+    }
+
+    pub fn request_from_wire(frame: &str) -> Result<ServiceRequest, CodecError> {
+        if let Some(rest) = frame.strip_prefix("analyzespec;") {
+            let rest = rest
+                .strip_prefix("seq=")
+                .ok_or_else(|| bad(rest, "seq=<u64>"))?;
+            let (seq, rest) = rest
+                .split_once(';')
+                .ok_or_else(|| bad(rest, "seq=<u64>;spec=<source>"))?;
+            let seq = seq.parse().map_err(|_| bad(seq, "a u64 sequence number"))?;
+            let spec = rest
+                .strip_prefix("spec=")
+                .ok_or_else(|| bad(rest, "spec=<source>"))?;
+            return Ok(ServiceRequest::AnalyzeSpec {
+                seq,
+                spec: spec.to_string(),
+            });
+        }
+        let mut fields = frame.split(';');
+        let tag = fields.next().unwrap_or_default();
+        let request = match tag {
+            "analyze" => {
+                let seq = expect_field(fields.next(), "seq", "seq=<u64>")?;
+                let id = expect_field(fields.next(), "id", "id=<u32>")?;
+                ServiceRequest::Analyze {
+                    seq: seq.parse().map_err(|_| bad(seq, "a u64 sequence number"))?,
+                    id: id.parse().map_err(|_| bad(id, "a u32 structure id"))?,
+                }
+            }
+            "mutate" => {
+                let seq = expect_field(fields.next(), "seq", "seq=<u64>")?;
+                let id = expect_field(fields.next(), "id", "id=<u32>")?;
+                let o = expect_field(fields.next(), "op", "op=<accept|cancel|post|expire>")?;
+                let slot = expect_field(fields.next(), "slot", "slot=<u32>")?;
+                ServiceRequest::Mutate {
+                    seq: seq.parse().map_err(|_| bad(seq, "a u64 sequence number"))?,
+                    id: id.parse().map_err(|_| bad(id, "a u32 structure id"))?,
+                    op: op(o)?,
+                    slot: slot.parse().map_err(|_| bad(slot, "a u32 slot index"))?,
+                }
+            }
+            "event" => {
+                let seq = expect_field(fields.next(), "seq", "seq=<u64>")?;
+                let id = expect_field(fields.next(), "id", "id=<u64>")?;
+                let o = expect_field(fields.next(), "op", "op=<accept|cancel|post|expire>")?;
+                let slot = expect_field(fields.next(), "slot", "slot=<u32>")?;
+                ServiceRequest::Event {
+                    seq: seq.parse().map_err(|_| bad(seq, "a u64 sequence number"))?,
+                    id: id.parse().map_err(|_| bad(id, "a u64 structure id"))?,
+                    op: op(o)?,
+                    slot: slot.parse().map_err(|_| bad(slot, "a u32 slot index"))?,
+                }
+            }
+            "stats" => {
+                let seq = expect_field(fields.next(), "seq", "seq=<u64>")?;
+                ServiceRequest::Stats {
+                    seq: seq.parse().map_err(|_| bad(seq, "a u64 sequence number"))?,
+                }
+            }
+            _ => {
+                return Err(bad(
+                    tag,
+                    "a request tag: analyze, analyzespec, mutate, event or stats",
+                ))
+            }
+        };
+        if let Some(extra) = fields.next() {
+            return Err(bad(extra, "end of frame"));
+        }
+        Ok(request)
+    }
+
+    pub fn reply_to_wire(reply: &ServiceReply) -> String {
+        match reply {
+            ServiceReply::Verdict {
+                seq,
+                feasible,
+                remaining,
+                remaining_red,
+            } => format!(
+                "verdict;seq={seq};feasible={};remaining={remaining};red={remaining_red}",
+                u8::from(*feasible)
+            ),
+            ServiceReply::EventVerdict {
+                seq,
+                feasible,
+                remaining,
+                hash,
+            } => format!(
+                "everdict;seq={seq};feasible={};remaining={remaining};hash={hash}",
+                u8::from(*feasible)
+            ),
+            ServiceReply::Stats { seq, stats } => format!(
+                "svcstats;seq={seq};structures={};accepted={};rejected={};queue={};conns={};hits={};misses={}",
+                stats.structures,
+                stats.accepted,
+                stats.rejected,
+                stats.queue_depth,
+                stats.connections,
+                stats.cache_hits,
+                stats.cache_misses
+            ),
+            ServiceReply::Rejected { seq, reason } => {
+                format!("rejected;seq={seq};reason={}", reason_token(*reason))
+            }
+        }
+    }
+
+    fn reason_token(reason: RejectReason) -> &'static str {
+        match reason {
+            RejectReason::Overloaded => "overloaded",
+            RejectReason::Quota => "quota",
+            RejectReason::Draining => "draining",
+            RejectReason::Malformed => "malformed",
+            RejectReason::UnknownStructure => "unknown_structure",
+        }
+    }
+}
+
+/// `n` spelled one of the ways a numeral field can arrive: canonical,
+/// with `+` or leading zeros (both of which `str::parse` accepts), 20
+/// digits wide, past `u32::MAX` or `u64::MAX`, or not a numeral at all.
+fn numeral(n: u64, style: u8) -> String {
+    match style {
+        0..=3 => n.to_string(),
+        4 => format!("+{n}"),
+        5 => format!("000{n}"),
+        6 => format!("+00{n}"),
+        7 => format!("{:020}", n),
+        8 => (u64::from(u32::MAX) + 1 + n % 1000).to_string(),
+        9 => format!("{}{}", u64::MAX, n % 10),
+        10 => ["", "+", "-1", "++1", "1+", " 1", "0x1", "1e3"][n as usize % 8].to_string(),
+        _ => format!("{}", u128::from(u64::MAX) + 1 + u128::from(n % 1000)),
+    }
+}
+
+/// A request frame of tag `kind` whose numerals are spelled per `styles`.
+fn request_frame(kind: u8, nums: &[u64], styles: &[u8], op: u8) -> String {
+    let op = ["accept", "cancel", "post", "expire", "explode", ""][op as usize % 6];
+    let [seq, id, slot] = [0, 1, 2].map(|i| numeral(nums[i], styles[i]));
+    match kind % 6 {
+        0 => format!("analyze;seq={seq};id={id}"),
+        1 => format!("mutate;seq={seq};id={id};op={op};slot={slot}"),
+        2 => format!("event;seq={seq};id={id};op={op};slot={slot}"),
+        3 => format!("stats;seq={seq}"),
+        4 => format!("analyzespec;seq={seq};spec=exchange e{id}\nprincipal c consumer; deal d"),
+        _ => format!("event;seq={seq};id={id};op={op};slot={slot};extra={id}"),
+    }
+}
+
+/// Bytes a mutation may write into a frame: separators, signs, digits
+/// and letters, all ASCII so the frame stays a string.
+const MUTATIONS: &[u8] = b";=+-09aeistz";
+
+/// Whole `Result`s from the server's decoder and the oracle, on `frame`,
+/// every truncation of it, and every one-byte replacement and deletion.
+fn agrees_with_oracle(frame: &str) -> Result<(), TestCaseError> {
+    let check = |input: &str| -> Result<(), TestCaseError> {
+        prop_assert_eq!(
+            ServiceRequest::from_wire(input),
+            oracle::request_from_wire(input),
+            "{:?}",
+            input
+        );
+        Ok(())
+    };
+    check(frame)?;
+    let bytes = frame.as_bytes();
+    for cut in 0..bytes.len() {
+        if frame.is_char_boundary(cut) {
+            check(&frame[..cut])?;
+        }
+    }
+    for at in 0..bytes.len() {
+        if !bytes[at].is_ascii() {
+            continue;
+        }
+        let mut deleted = bytes.to_vec();
+        deleted.remove(at);
+        check(std::str::from_utf8(&deleted).expect("an ASCII byte removed"))?;
+        for &b in MUTATIONS {
+            let mut mutated = bytes.to_vec();
+            mutated[at] = b;
+            check(std::str::from_utf8(&mutated).expect("an ASCII byte replaced"))?;
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The single-pass request decoder returns exactly the oracle's
+    /// `Result` — the same request, or the same `CodecError` fragment and
+    /// expectation — on well-formed frames, on frames whose numerals are
+    /// signed, zero-padded, 20 digits wide or past `u32::MAX`, and on
+    /// every truncation and one-byte mutation of each.
+    #[test]
+    fn request_decoder_matches_the_oracle(
+        kind in 0u8..6,
+        nums in proptest::collection::vec(any::<u64>(), 3),
+        styles in proptest::collection::vec(0u8..12, 3),
+        op in 0u8..6,
+    ) {
+        agrees_with_oracle(&request_frame(kind, &nums, &styles, op))?;
+    }
+
+    /// Free-form frames over the codec's own alphabet, so separators and
+    /// keys land where no template would put them.
+    #[test]
+    fn request_decoder_matches_the_oracle_on_free_form_frames(
+        frame in "(analyze|analyzespec|mutate|event|stats|x)?(;(seq|id|op|slot|spec)?=?[+0-9a-z;=]{0,5}){0,6}",
+    ) {
+        agrees_with_oracle(&frame)?;
+    }
+
+    /// The in-place reply writer produces the oracle's text, and the
+    /// in-place frame writer the oracle's length-prefixed bytes.
+    #[test]
+    fn reply_writer_matches_the_oracle(
+        kind in 0u8..9,
+        seq in any::<u64>(),
+        a in any::<u64>(),
+        b in any::<u64>(),
+        c in any::<u32>(),
+    ) {
+        let reasons = [
+            RejectReason::Overloaded,
+            RejectReason::Quota,
+            RejectReason::Draining,
+            RejectReason::Malformed,
+            RejectReason::UnknownStructure,
+        ];
+        let reply = match kind {
+            0 => ServiceReply::Verdict { seq, feasible: a % 2 == 0, remaining: c, remaining_red: b as u32 },
+            1 => ServiceReply::EventVerdict { seq, feasible: a % 2 == 1, remaining: c, hash: b },
+            2 => ServiceReply::Stats {
+                seq,
+                stats: ServiceStats {
+                    structures: c,
+                    accepted: a,
+                    rejected: b,
+                    queue_depth: a as u32,
+                    connections: b as u32,
+                    cache_hits: a.rotate_left(7),
+                    cache_misses: b.rotate_left(13),
+                },
+            },
+            _ => ServiceReply::Rejected { seq, reason: reasons[usize::from(kind - 3) % reasons.len()] },
+        };
+        let text = oracle::reply_to_wire(&reply);
+        prop_assert_eq!(reply.to_wire(), text.clone());
+        let mut framed = vec![7u8];
+        write_frame(&mut framed, |out| reply.write_wire(out)).expect("a small frame");
+        prop_assert_eq!(&framed[1..], &encode_frame(&text).expect("a small frame")[..]);
+        prop_assert_eq!(ServiceReply::from_wire(&text).expect("round-trips"), reply);
     }
 }

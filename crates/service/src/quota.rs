@@ -47,9 +47,10 @@ impl TokenBucket {
         self.rate > 0.0
     }
 
-    /// Takes one token at the current time.
+    /// Takes one token at the current time. A disabled quota admits
+    /// without reading the clock.
     pub fn try_take(&mut self) -> bool {
-        self.try_take_at(Instant::now())
+        !self.is_limited() || self.try_take_at(Instant::now())
     }
 
     /// Takes one token as of `now` — the testable core. `now` values that

@@ -7,16 +7,27 @@
 //!  accept loop (pool index 0, non-blocking)
 //!     │ spawns one reader thread per connection
 //!     ▼
-//!  reader: FrameDecoder (capped) → ServiceRequest
-//!     │ ladder: drain? → quota? → queue full?   (typed Rejected replies)
+//!  reader: read() → FrameDecoder (capped; frames lent, not copied)
+//!     │ per frame: ServiceRequest → drain? → quota?   (typed Rejected replies)
+//!     │ after the read's last frame: one push per shard, under one lock;
+//!     │ what a full shard refuses is shed as overloaded, in frame order
 //!     ▼
 //!  ShardedQueue — bounded, one FIFO shard per worker, id % workers
+//!     │ a push wakes the shard's worker only if it is parked
 //!     ▼
-//!  workers (pool indices 1..=W): resident Stalls; AnalysisCache for specs
-//!     │ batched replies, one write per connection per batch
+//!  workers (pool indices 1..=W): pop ≤ 64 into a worker-owned buffer;
+//!     │ resident Stalls; AnalysisCache for specs; replies encoded in place
+//!     │ into one reused output buffer, one write per connection run
 //!     ▼
 //!  writer half (shared Mutex<Conn> per connection, write deadline)
 //! ```
+//!
+//! The fixed per-request path — decode, parse, admission, handoff, reply
+//! encoding — makes no heap allocation and no syscall of its own once a
+//! connection's buffers have grown: the syscalls are the reads, the
+//! writes, and a wakeup when a worker actually sleeps. A read's frames are
+//! never held back for a later read, so batching the handoff adds no wait
+//! to a lone request.
 //!
 //! Structure `id` always routes to shard `id % workers` (modulo taken in
 //! u64 — see [`shard_of`]) and each shard is drained by exactly one worker
@@ -55,7 +66,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 use trustseq_core::{obs, pool, AnalysisCache, SequencingGraph};
-use trustseq_dist::net::{encode_frame, Addr, Conn, FrameDecoder, Listener};
+use trustseq_dist::net::{write_frame, Addr, Conn, FrameDecoder, Listener};
 use trustseq_dist::{RejectReason, ServiceOp, ServiceReply, ServiceRequest, ServiceStats};
 use trustseq_workloads::{fnv_fold, MarketMode, MarketOp, RandomConfig, Stall, FNV_OFFSET};
 
@@ -311,7 +322,9 @@ impl Shared {
         stalls.get(id).cloned()
     }
 
-    fn reject(&self, conn: &ConnShared, seq: u64, reason: RejectReason) {
+    /// Counts a rejection at the reader's admission ladder and appends its
+    /// reply frame to `out`.
+    fn reject(&self, out: &mut Vec<u8>, seq: u64, reason: RejectReason) {
         let (counter, name) = match reason {
             RejectReason::Overloaded => (&self.counters.rej_overloaded, "svc.rejected.overloaded"),
             RejectReason::Quota => (&self.counters.rej_quota, "svc.rejected.quota"),
@@ -323,11 +336,15 @@ impl Shared {
         if obs::enabled() {
             obs::with(|r| r.counter(name, 1));
         }
-        let reply = ServiceReply::Rejected { seq, reason };
-        if let Ok(bytes) = encode_frame(&reply.to_wire()) {
-            conn.send(&bytes);
-        }
+        push_reply(out, &ServiceReply::Rejected { seq, reason });
     }
+}
+
+/// Appends `reply` to `out` as one length-prefixed frame, encoded in place.
+fn push_reply(out: &mut Vec<u8>, reply: &ServiceReply) {
+    // A reply is a few dozen bytes, far below the frame cap, so this
+    // cannot fail; a frame that did would be left out, not sent torn.
+    let _ = write_frame(out, |out| reply.write_wire(out));
 }
 
 /// A handle for stopping a running [`Server`] from another thread.
@@ -533,14 +550,15 @@ fn admit_conn(conn: Conn, id: u64, shared: &Arc<Shared>) -> Option<std::thread::
 /// Reads frames off one connection and walks each request down the
 /// admission ladder. Protocol violations (oversized announcement, non-UTF-8
 /// payload, an unparseable frame) drop the connection outright — there is
-/// no trustworthy `seq` to answer.
+/// no trustworthy `seq` to answer — after the frames admitted before the
+/// violation are enqueued.
 fn reader_loop(mut conn: Conn, cs: &Arc<ConnShared>, shared: &Arc<Shared>) {
     let cfg = &shared.cfg;
     let mut decoder = FrameDecoder::with_max_frame(cfg.max_frame);
     let mut bucket = TokenBucket::new(cfg.quota_rate, cfg.quota_burst);
     let mut buf = vec![0u8; 16 << 10];
+    let mut batch = ReadBatch::new(shared.queue.shards());
     let mut last_progress = Instant::now();
-    let workers = shared.queue.shards();
     loop {
         if !cs.alive.load(Ordering::Relaxed) {
             return;
@@ -550,28 +568,14 @@ fn reader_loop(mut conn: Conn, cs: &Arc<ConnShared>, shared: &Arc<Shared>) {
             Ok(n) => {
                 decoder.push(&buf[..n]);
                 last_progress = Instant::now();
-                loop {
-                    match decoder.next_frame() {
-                        Ok(Some(frame)) => {
-                            if !handle_frame(&frame, cs, shared, &mut bucket, workers) {
-                                shared.counters.proto_drops.fetch_add(1, Ordering::Relaxed);
-                                if obs::enabled() {
-                                    obs::with(|r| r.counter("svc.proto_drops", 1));
-                                }
-                                return;
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            // Oversized or non-UTF-8: a protocol violation,
-                            // not load — shed the connection, not the frame.
-                            shared.counters.proto_drops.fetch_add(1, Ordering::Relaxed);
-                            if obs::enabled() {
-                                obs::with(|r| r.counter("svc.proto_drops", 1));
-                            }
-                            return;
-                        }
+                let intact = batch.admit(&mut decoder, cs, shared, &mut bucket);
+                batch.flush(cs, shared);
+                if !intact {
+                    shared.counters.proto_drops.fetch_add(1, Ordering::Relaxed);
+                    if obs::enabled() {
+                        obs::with(|r| r.counter("svc.proto_drops", 1));
                     }
+                    return;
                 }
             }
             Err(e)
@@ -592,80 +596,145 @@ fn reader_loop(mut conn: Conn, cs: &Arc<ConnShared>, shared: &Arc<Shared>) {
     }
 }
 
-/// Returns `false` when the connection must be dropped (unparseable frame).
-fn handle_frame(
-    frame: &str,
-    cs: &Arc<ConnShared>,
-    shared: &Arc<Shared>,
-    bucket: &mut TokenBucket,
-    workers: usize,
-) -> bool {
-    let req = match ServiceRequest::from_wire(frame) {
-        Ok(req) => req,
-        Err(_) => return false,
-    };
-    let seq = req.seq();
-    if shared.stop.load(Ordering::Relaxed) {
-        shared.reject(cs, seq, RejectReason::Draining);
-        return true;
-    }
-    if !bucket.try_take() {
-        shared.reject(cs, seq, RejectReason::Quota);
-        return true;
-    }
-    let shard = match &req {
-        ServiceRequest::Analyze { id, .. } | ServiceRequest::Mutate { id, .. } => {
-            shard_of(u64::from(*id), workers)
+/// The requests one `read()` admitted, held only until that read's last
+/// complete frame has been walked down the ladder: then each shard's jobs
+/// go into the queue under one lock, and the read's rejections leave in
+/// one write. Frames are never held across reads, so a lone request is
+/// enqueued as soon as it arrives. The buffers are kept from read to
+/// read, so a connection in its steady state allocates nothing here.
+struct ReadBatch {
+    /// Admitted jobs per shard, in frame order.
+    pending: Vec<Vec<Job>>,
+    /// The shard of every admitted frame, in frame order.
+    order: Vec<usize>,
+    /// Sequence numbers of the jobs a full shard refused, last first.
+    shed: Vec<u64>,
+    /// Rejection frames encoded for this read.
+    rejections: Vec<u8>,
+}
+
+impl ReadBatch {
+    fn new(shards: usize) -> Self {
+        ReadBatch {
+            pending: (0..shards).map(|_| Vec::new()).collect(),
+            order: Vec::new(),
+            shed: Vec::new(),
+            rejections: Vec::new(),
         }
-        ServiceRequest::Event { id, .. } => shard_of(*id, workers),
-        ServiceRequest::AnalyzeSpec { seq, .. } | ServiceRequest::Stats { seq } => {
-            shard_of(*seq, workers)
-        }
-    };
-    let job = Job {
-        conn: Arc::clone(cs),
-        req,
-    };
-    if let Err(job) = shared.queue.try_push(shard, job) {
-        shared.reject(&job.conn, seq, RejectReason::Overloaded);
-    } else if obs::enabled() {
-        obs::with(|r| r.counter("svc.enqueued", 1));
     }
-    true
+
+    /// Walks every complete frame in `decoder` down the admission ladder:
+    /// draining, then quota, then into this batch. Returns `false` when
+    /// the connection must be dropped (an oversized, non-UTF-8 or
+    /// unparseable frame).
+    fn admit(
+        &mut self,
+        decoder: &mut FrameDecoder,
+        cs: &Arc<ConnShared>,
+        shared: &Shared,
+        bucket: &mut TokenBucket,
+    ) -> bool {
+        loop {
+            let req = match decoder.next_frame_str() {
+                Ok(Some(frame)) => match ServiceRequest::from_wire(frame) {
+                    Ok(req) => req,
+                    Err(_) => return false,
+                },
+                Ok(None) => return true,
+                Err(_) => return false,
+            };
+            let seq = req.seq();
+            if shared.stop.load(Ordering::Relaxed) {
+                shared.reject(&mut self.rejections, seq, RejectReason::Draining);
+                continue;
+            }
+            if !bucket.try_take() {
+                shared.reject(&mut self.rejections, seq, RejectReason::Quota);
+                continue;
+            }
+            let shard = match &req {
+                ServiceRequest::Analyze { id, .. } | ServiceRequest::Mutate { id, .. } => {
+                    shard_of(u64::from(*id), self.pending.len())
+                }
+                ServiceRequest::Event { id, .. } => shard_of(*id, self.pending.len()),
+                ServiceRequest::AnalyzeSpec { seq, .. } | ServiceRequest::Stats { seq } => {
+                    shard_of(*seq, self.pending.len())
+                }
+            };
+            self.pending[shard].push(Job {
+                conn: Arc::clone(cs),
+                req,
+            });
+            self.order.push(shard);
+        }
+    }
+
+    /// Enqueues each shard's jobs under one lock, sheds what a full shard
+    /// refused as `overloaded` in frame order, and sends the rejections.
+    fn flush(&mut self, cs: &ConnShared, shared: &Shared) {
+        let mut overflow = false;
+        for (shard, jobs) in self.pending.iter_mut().enumerate() {
+            if jobs.is_empty() {
+                continue;
+            }
+            let taken = shared.queue.push_all(shard, jobs);
+            if taken > 0 && obs::enabled() {
+                obs::with(|r| r.counter("svc.enqueued", taken as u64));
+            }
+            overflow |= !jobs.is_empty();
+        }
+        if overflow {
+            // A shard's refused jobs are its last frames in this read, so
+            // walking the frame order backwards meets them last-first.
+            for &shard in self.order.iter().rev() {
+                if let Some(job) = self.pending[shard].pop() {
+                    self.shed.push(job.req.seq());
+                }
+            }
+            for &seq in self.shed.iter().rev() {
+                shared.reject(&mut self.rejections, seq, RejectReason::Overloaded);
+            }
+            self.shed.clear();
+        }
+        self.order.clear();
+        if !self.rejections.is_empty() {
+            cs.send(&self.rejections);
+            self.rejections.clear();
+        }
+    }
 }
 
 fn worker_loop(shared: &Arc<Shared>, shard: usize) {
-    let mut replies: Vec<(Arc<ConnShared>, Vec<u8>)> = Vec::with_capacity(WORKER_BATCH);
+    let mut jobs: Vec<Job> = Vec::with_capacity(WORKER_BATCH);
+    // A batch's replies are encoded in place into one buffer the worker
+    // keeps from batch to batch. Each run of consecutive replies to one
+    // connection is a slice of it, sent in one write.
+    let mut out: Vec<u8> = Vec::new();
+    let mut runs: Vec<(Arc<ConnShared>, usize)> = Vec::with_capacity(WORKER_BATCH);
     loop {
-        let batch = shared.queue.pop_batch(shard, WORKER_BATCH, POLL);
-        if batch.is_empty() {
+        shared.queue.pop_into(shard, WORKER_BATCH, POLL, &mut jobs);
+        if jobs.is_empty() {
             if shared.halt.load(Ordering::Relaxed) {
                 return;
             }
             continue;
         }
         if let Some(delay) = shared.cfg.debug_delay {
-            std::thread::sleep(delay * batch.len() as u32);
+            std::thread::sleep(delay * jobs.len() as u32);
         }
-        for job in batch {
-            let reply = process(shared, &job.req);
-            let bytes = match encode_frame(&reply.to_wire()) {
-                Ok(bytes) => bytes,
-                Err(_) => continue,
-            };
-            // Coalesce consecutive replies to the same connection into one
-            // write — at a million requests this is the difference between
-            // one syscall per reply and one per batch per client.
-            match replies.last_mut() {
-                Some((conn, buffer)) if Arc::ptr_eq(conn, &job.conn) => {
-                    buffer.extend_from_slice(&bytes)
-                }
-                _ => replies.push((job.conn, bytes)),
+        for Job { conn, req } in jobs.drain(..) {
+            push_reply(&mut out, &process(shared, &req));
+            match runs.last_mut() {
+                Some((last, end)) if Arc::ptr_eq(last, &conn) => *end = out.len(),
+                _ => runs.push((conn, out.len())),
             }
         }
-        for (conn, bytes) in replies.drain(..) {
-            conn.send(&bytes);
+        let mut start = 0;
+        for (conn, end) in runs.drain(..) {
+            conn.send(&out[start..end]);
+            start = end;
         }
+        out.clear();
     }
 }
 

@@ -1343,15 +1343,12 @@ fn cmd_loadgen(inv: &Invocation) -> Result<String, String> {
     } else {
         (1_000_000, 4)
     };
-    let mut config = LoadgenConfig {
+    let config = LoadgenConfig {
         requests: inv.requests.unwrap_or(requests),
         clients: inv.clients.unwrap_or(clients),
         ..inv.loadgen.clone()
     };
     if let Some(out_file) = &inv.bench_out {
-        if inv.quick {
-            config.requests = config.requests.min(40_000);
-        }
         return if config.events {
             run_events_bench(&inv.service, config, out_file)
         } else {

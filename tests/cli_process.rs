@@ -220,6 +220,38 @@ fn loadgen_event_mode_smoke_run_passes_its_gates() {
     assert!(stdout.contains("0/6 structure hash mismatches"), "{stdout}");
 }
 
+/// `--quick` sets the default request count; it does not cap an explicit
+/// `--requests`, with or without `--bench-out`. With `--bench-out` the
+/// count used to be cut to 40000 without a word.
+#[test]
+fn loadgen_bench_honours_an_explicit_request_count() {
+    let out = std::env::temp_dir().join(format!(
+        "trustseq-bench-requests-{}.json",
+        std::process::id()
+    ));
+    let (ok, stdout, stderr) = trustseq(&[
+        "loadgen",
+        "--quick",
+        "--events",
+        "--requests",
+        "40100",
+        "--clients",
+        "1",
+        "--structures",
+        "4",
+        "--bench-out",
+        out.to_str().expect("a UTF-8 temp path"),
+    ]);
+    let json = std::fs::read_to_string(&out);
+    let _ = std::fs::remove_file(&out);
+    assert!(ok, "{stdout}{stderr}");
+    let json = json.expect("the bench report was written");
+    assert!(
+        json.contains(r#""requests": 40100, "replies": 40100"#),
+        "{json}"
+    );
+}
+
 /// A flag its command never reads is rejected before the command runs, so
 /// it cannot quietly change the question answered: `indemnify` and
 /// `dist-run` do not read `--extended`, and `journal-replay` replays the
