@@ -2,7 +2,10 @@
 //!
 //! Measures the round-based message-passing protocol against the
 //! centralised reducer as chains deepen and bundles widen, and prints the
-//! round/message counts once per run.
+//! round/message counts once per run. A `*_distributed` row is
+//! `DistributedReduction::run`: the resilient round loop under the
+//! fault-free plan, so every announcement goes through the wire codec and
+//! is acknowledged.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

@@ -41,7 +41,7 @@
 //! and by the confluence theorem of §4.2 they agree on the verdict and on
 //! the set of removed edges.
 //!
-//! Concurrency: the table is split into [`SHARDS`] stripes, each behind a
+//! Concurrency: the table is split into 16 stripes, each behind a
 //! `parking_lot::Mutex`, selected by the fingerprint's low bits; counters
 //! are relaxed atomics. Racing inserts of the same fingerprint resolve to
 //! a single interned entry. In debug builds a sampled fraction of hits is
@@ -256,7 +256,7 @@ impl AnalysisCache {
     /// [`new`](Self::new).
     ///
     /// Bounding is by **segmented LRU-class eviction**: the cap is spread
-    /// over the [`SHARDS`] lock stripes (rounded up, at least one entry
+    /// over the 16 lock stripes (rounded up, at least one entry
     /// per stripe), and an insert into a full stripe first drops the
     /// least-recently-accessed *half* of that stripe (everything at or
     /// below the stripe's median access stamp) — one relaxed store per hit

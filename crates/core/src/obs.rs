@@ -296,7 +296,7 @@ impl Metric {
     }
 }
 
-/// Lock-striped [`Recorder`]: metric names hash (FNV-1a) onto [`SHARDS`]
+/// Lock-striped [`Recorder`]: metric names hash (FNV-1a) onto 8
 /// `parking_lot` mutexes, each guarding an ordered name → [`Metric`]
 /// table. Writers touch exactly one shard; [`snapshot`](Self::snapshot)
 /// locks all shards in index order for a torn-free read.

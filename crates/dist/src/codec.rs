@@ -6,11 +6,10 @@
 //! corrupted frame arrives truncated, [`Packet::from_wire`] rejects it
 //! with a typed [`CodecError`] (never a panic), and the engine treats the
 //! packet as lost — the acknowledgement/retransmission machinery absorbs
-//! it exactly like a drop. The codec is lossless, so faultless resilient
-//! runs stay byte-identical to the reliable engine.
+//! it exactly like a drop. The codec is lossless, so a faultless run
+//! decodes every frame it sends.
 //!
-//! Frame shapes (mirroring the [`FaultPlan`] and
-//! [`DistOutcome`](crate::DistOutcome) text codecs):
+//! Frame shapes (mirroring the [`FaultPlan`] text codec):
 //!
 //! * `data;seq=5;from=a3;edge=e2` — a removal announcement under a
 //!   sequence number;

@@ -1,7 +1,8 @@
-//! The round-based distributed reduction engine.
+//! The distributed reduction's participants and its fault-free run.
 
-use crate::node::{LocalRemoval, Message, Node};
-use crate::transport::{DelayTransport, Transport};
+use crate::faults::FaultPlan;
+use crate::node::Node;
+use crate::resilient::ResilientConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -29,7 +30,8 @@ pub struct DistOutcome {
     pub feasible: bool,
     /// Rounds until quiescence (parallel time).
     pub rounds: usize,
-    /// Point-to-point messages exchanged.
+    /// Removal announcements sent, one per addressee; acknowledgements
+    /// and retransmissions are not counted.
     pub messages: usize,
     /// Every removal, in decision order.
     pub removals: Vec<DistRemoval>,
@@ -52,135 +54,6 @@ impl fmt::Display for DistOutcome {
             self.removals.len(),
             self.remaining.len()
         )
-    }
-}
-
-/// Why a [`DistOutcome`] wire string failed to parse.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireError {
-    /// The offending fragment.
-    pub fragment: String,
-}
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "bad outcome wire fragment {:?}", self.fragment)
-    }
-}
-
-impl std::error::Error for WireError {}
-
-fn wire_err(fragment: &str) -> WireError {
-    WireError {
-        fragment: fragment.to_string(),
-    }
-}
-
-impl DistOutcome {
-    /// Encodes the outcome as a canonical single-line text record, e.g.
-    /// `feasible=1;rounds=3;messages=9;removals=a0:e2:1@1,a5:e0:2@2;remaining=`
-    /// (removal entries are `decider:edge:rule@round`, rule `1` = the
-    /// commitment-fringe rule, `2` = the conjunction-fringe rule).
-    /// [`DistOutcome::from_wire`] inverts it exactly; the round-trip is
-    /// property-tested.
-    pub fn to_wire(&self) -> String {
-        use fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "feasible={};rounds={};messages={};removals=",
-            u8::from(self.feasible),
-            self.rounds,
-            self.messages
-        );
-        for (i, r) in self.removals.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let rule = match r.rule {
-                Rule::CommitmentFringe => 1,
-                Rule::ConjunctionFringe => 2,
-            };
-            let _ = write!(out, "{}:{}:{}@{}", r.decider, r.edge, rule, r.round);
-        }
-        out.push_str(";remaining=");
-        for (i, e) in self.remaining.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{e}");
-        }
-        out
-    }
-
-    /// Parses a record produced by [`DistOutcome::to_wire`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] naming the first malformed fragment.
-    pub fn from_wire(s: &str) -> Result<Self, WireError> {
-        fn id_num(s: &str, prefix: char) -> Result<u32, WireError> {
-            s.strip_prefix(prefix)
-                .and_then(|n| n.parse().ok())
-                .ok_or_else(|| wire_err(s))
-        }
-        let mut feasible = None;
-        let mut rounds = None;
-        let mut messages = None;
-        let mut removals = None;
-        let mut remaining = None;
-        for field in s.split(';') {
-            let (key, value) = field.split_once('=').ok_or_else(|| wire_err(field))?;
-            match key {
-                "feasible" => {
-                    feasible = Some(match value {
-                        "1" => true,
-                        "0" => false,
-                        _ => return Err(wire_err(value)),
-                    })
-                }
-                "rounds" => rounds = Some(value.parse().map_err(|_| wire_err(value))?),
-                "messages" => messages = Some(value.parse().map_err(|_| wire_err(value))?),
-                "removals" => {
-                    let mut parsed = Vec::new();
-                    for entry in value.split(',').filter(|e| !e.is_empty()) {
-                        let mut parts = entry.split(':');
-                        let (decider, edge, rest) =
-                            match (parts.next(), parts.next(), parts.next(), parts.next()) {
-                                (Some(d), Some(e), Some(r), None) => (d, e, r),
-                                _ => return Err(wire_err(entry)),
-                            };
-                        let (rule, round) = rest.split_once('@').ok_or_else(|| wire_err(entry))?;
-                        parsed.push(DistRemoval {
-                            decider: AgentId::new(id_num(decider, 'a')?),
-                            edge: EdgeId::new(id_num(edge, 'e')?),
-                            rule: match rule {
-                                "1" => Rule::CommitmentFringe,
-                                "2" => Rule::ConjunctionFringe,
-                                _ => return Err(wire_err(entry)),
-                            },
-                            round: round.parse().map_err(|_| wire_err(entry))?,
-                        });
-                    }
-                    removals = Some(parsed);
-                }
-                "remaining" => {
-                    let mut parsed = Vec::new();
-                    for entry in value.split(',').filter(|e| !e.is_empty()) {
-                        parsed.push(EdgeId::new(id_num(entry, 'e')?));
-                    }
-                    remaining = Some(parsed);
-                }
-                _ => return Err(wire_err(key)),
-            }
-        }
-        Ok(DistOutcome {
-            feasible: feasible.ok_or_else(|| wire_err("feasible"))?,
-            rounds: rounds.ok_or_else(|| wire_err("rounds"))?,
-            messages: messages.ok_or_else(|| wire_err("messages"))?,
-            removals: removals.ok_or_else(|| wire_err("removals"))?,
-            remaining: remaining.ok_or_else(|| wire_err("remaining"))?,
-        })
     }
 }
 
@@ -278,107 +151,19 @@ impl DistributedReduction {
         targets
     }
 
-    /// Runs rounds until quiescence and reports (every announcement arrives
-    /// in the next round).
+    /// Runs the protocol over a fault-free network until quiescence: the
+    /// [`run_resilient`](DistributedReduction::run_resilient) round loop
+    /// under [`FaultPlan::none`] with no round limit, so every
+    /// announcement arrives in the next round and is acknowledged.
     pub fn run(self) -> DistOutcome {
-        self.run_with_delays(0, 1)
-    }
-
-    /// Runs the protocol under an asynchronous network: each announcement
-    /// is delayed between 1 and `max_delay` rounds, chosen deterministically
-    /// from `seed`.
-    ///
-    /// Because liveness information only ever *shrinks*, delayed delivery
-    /// can postpone a node's move but never unsound it — the verdict always
-    /// matches the synchronous run (property-tested in the workspace test
-    /// suite).
-    pub fn run_with_delays(self, seed: u64, max_delay: u64) -> DistOutcome {
-        let mut transport = DelayTransport::new(seed, max_delay);
-        self.run_over(&mut transport)
-    }
-
-    /// Runs the protocol over an arbitrary [`Transport`].
-    ///
-    /// The round loop assumes the transport is *reliable* (it may reorder
-    /// and delay, but every message eventually arrives) — quiescence is
-    /// declared when no node proposes and nothing is in flight. For lossy
-    /// transports use
-    /// [`run_resilient`](DistributedReduction::run_resilient), which adds
-    /// acknowledgements, retransmission and crash recovery.
-    pub fn run_over<T: Transport<Message>>(mut self, transport: &mut T) -> DistOutcome {
-        let mut removed: BTreeSet<EdgeId> = BTreeSet::new();
-        let mut removals: Vec<DistRemoval> = Vec::new();
-        let mut messages = 0usize;
-        let mut rounds = 0usize;
-
-        loop {
-            rounds += 1;
-
-            // Deliver announcements due this round.
-            for (target, msg) in transport.deliver(rounds) {
-                if let Some(node) = self.nodes.get_mut(&target) {
-                    node.observe(msg);
-                }
-            }
-
-            // Collect proposals in deterministic agent order.
-            let mut round_removals: Vec<(AgentId, LocalRemoval)> = Vec::new();
-            for (agent, node) in &self.nodes {
-                for proposal in node.proposals() {
-                    if !removed.contains(&proposal.edge)
-                        && !round_removals.iter().any(|(_, r)| r.edge == proposal.edge)
-                    {
-                        round_removals.push((*agent, proposal));
-                    }
-                }
-            }
-
-            if round_removals.is_empty() {
-                if transport.in_flight() == 0 {
-                    rounds -= 1; // the final empty round is bookkeeping only
-                    break;
-                }
-                continue; // idle round: wait for deliveries
-            }
-
-            for (decider, removal) in round_removals {
-                removed.insert(removal.edge);
-                removals.push(DistRemoval {
-                    decider,
-                    edge: removal.edge,
-                    rule: removal.rule,
-                    round: rounds,
-                });
-                if let Some(node) = self.nodes.get_mut(&decider) {
-                    node.record_own_removal(removal.edge);
-                }
-
-                // Announce to the other interested parties.
-                for target in self.announcement_targets(removal.edge, decider) {
-                    let msg = Message {
-                        from: decider,
-                        edge: removal.edge,
-                    };
-                    transport.send(rounds, decider, target, msg);
-                    messages += 1;
-                }
-            }
-        }
-
-        let remaining: Vec<EdgeId> = self
-            .graph
-            .edges()
-            .iter()
-            .map(|e| e.id)
-            .filter(|id| !removed.contains(id))
-            .collect();
-        DistOutcome {
-            feasible: remaining.is_empty(),
-            rounds,
-            messages,
-            removals,
-            remaining,
-        }
+        let config = ResilientConfig {
+            max_rounds: usize::MAX,
+            ..ResilientConfig::default()
+        };
+        self.run_resilient(&FaultPlan::none(), &config)
+            .expect("the fault-free plan names no agent")
+            .as_dist_outcome()
+            .expect("a fault-free run without a round limit always decides")
     }
 }
 
@@ -440,6 +225,140 @@ mod tests {
         assert!(dist.rounds >= 2 && dist.rounds <= 6, "{}", dist.rounds);
     }
 
+    /// `run()`'s complete outcome on E14's four fixtures: rounds, messages,
+    /// every removal in decision order, and the remaining edges. Removals
+    /// are `(decider, edge, rule, round)` with rule 1 the commitment-fringe
+    /// rule and rule 2 the conjunction-fringe rule.
+    #[test]
+    fn run_reproduces_the_e14_outcomes_exactly() {
+        use trustseq_model::Money;
+        type Pinned = (
+            usize,
+            usize,
+            &'static [(u32, u32, u8, usize)],
+            &'static [u32],
+        );
+        let cases: [(&str, ExchangeSpec, Pinned); 4] = [
+            (
+                "example1",
+                fixtures::example1().0,
+                (
+                    4,
+                    6,
+                    &[
+                        (0, 0, 1, 1),
+                        (2, 5, 1, 1),
+                        (3, 2, 2, 2),
+                        (4, 4, 2, 2),
+                        (1, 1, 1, 3),
+                        (1, 3, 1, 4),
+                    ],
+                    &[],
+                ),
+            ),
+            (
+                "example2",
+                fixtures::example2().0,
+                (
+                    2,
+                    4,
+                    &[(3, 6, 1, 1), (4, 13, 1, 1), (6, 5, 2, 2), (8, 12, 2, 2)],
+                    &[0, 1, 2, 3, 4, 7, 8, 9, 10, 11],
+                ),
+            ),
+            (
+                "figure7",
+                fixtures::figure7().0,
+                (
+                    2,
+                    6,
+                    &[
+                        (2, 6, 1, 1),
+                        (6, 13, 1, 1),
+                        (10, 20, 1, 1),
+                        (4, 5, 2, 2),
+                        (8, 12, 2, 2),
+                        (12, 19, 2, 2),
+                    ],
+                    &[0, 1, 2, 3, 4, 7, 8, 9, 10, 11, 14, 15, 16, 17, 18],
+                ),
+            ),
+            (
+                "chain-8",
+                trustseq_workloads::broker_chain(
+                    8,
+                    Money::from_dollars(1000),
+                    Money::from_dollars(5),
+                )
+                .0,
+                (
+                    32,
+                    34,
+                    &[
+                        (0, 0, 1, 1),
+                        (9, 33, 1, 1),
+                        (10, 2, 2, 2),
+                        (18, 32, 2, 2),
+                        (1, 1, 1, 3),
+                        (1, 3, 2, 4),
+                        (1, 4, 1, 5),
+                        (11, 6, 2, 6),
+                        (2, 5, 1, 7),
+                        (2, 7, 2, 8),
+                        (2, 8, 1, 9),
+                        (12, 10, 2, 10),
+                        (3, 9, 1, 11),
+                        (3, 11, 2, 12),
+                        (3, 12, 1, 13),
+                        (13, 14, 2, 14),
+                        (4, 13, 1, 15),
+                        (4, 15, 2, 16),
+                        (4, 16, 1, 17),
+                        (14, 18, 2, 18),
+                        (5, 17, 1, 19),
+                        (5, 19, 2, 20),
+                        (5, 20, 1, 21),
+                        (15, 22, 2, 22),
+                        (6, 21, 1, 23),
+                        (6, 23, 2, 24),
+                        (6, 24, 1, 25),
+                        (16, 26, 2, 26),
+                        (7, 25, 1, 27),
+                        (7, 27, 2, 28),
+                        (7, 28, 1, 29),
+                        (17, 30, 2, 30),
+                        (8, 29, 1, 31),
+                        (8, 31, 1, 32),
+                    ],
+                    &[],
+                ),
+            ),
+        ];
+        for (name, spec, (rounds, messages, removals, remaining)) in cases {
+            let expected = DistOutcome {
+                feasible: remaining.is_empty(),
+                rounds,
+                messages,
+                removals: removals
+                    .iter()
+                    .map(|&(decider, edge, rule, round)| DistRemoval {
+                        decider: AgentId::new(decider),
+                        edge: EdgeId::new(edge),
+                        rule: if rule == 1 {
+                            Rule::CommitmentFringe
+                        } else {
+                            Rule::ConjunctionFringe
+                        },
+                        round,
+                    })
+                    .collect(),
+                remaining: remaining.iter().map(|&e| EdgeId::new(e)).collect(),
+            };
+            let outcome = DistributedReduction::new(&spec).unwrap().run();
+            assert_eq!(outcome, expected, "{name}");
+        }
+    }
+
     #[test]
     fn every_participant_gets_a_node() {
         let (spec, _) = fixtures::example2();
@@ -455,6 +374,16 @@ mod tests {
         assert!(dist.messages <= dist.removals.len() * 3);
     }
 
+    /// A delay-only plan: every announcement arrives 1..=`max_delay`
+    /// rounds after it is sent.
+    fn run_delayed(spec: &ExchangeSpec, seed: u64, max_delay: u64) -> crate::ResilientOutcome {
+        let plan = FaultPlan::seeded(seed).with_max_extra_delay(max_delay - 1);
+        DistributedReduction::new(spec)
+            .unwrap()
+            .run_resilient(&plan, &ResilientConfig::default())
+            .unwrap()
+    }
+
     #[test]
     fn asynchronous_delays_do_not_change_the_verdict() {
         for (spec, feasible) in [
@@ -464,12 +393,10 @@ mod tests {
         ] {
             for seed in 0..10 {
                 for max_delay in [1u64, 2, 5] {
-                    let outcome = DistributedReduction::new(&spec)
-                        .unwrap()
-                        .run_with_delays(seed, max_delay);
+                    let outcome = run_delayed(&spec, seed, max_delay);
                     assert_eq!(
-                        outcome.feasible,
-                        feasible,
+                        outcome.verdict.decided(),
+                        Some(feasible),
                         "{} seed {seed} delay {max_delay}",
                         spec.name()
                     );
@@ -482,9 +409,7 @@ mod tests {
     fn delays_stretch_rounds_but_not_removals() {
         let (spec, _) = fixtures::example1();
         let fast = DistributedReduction::new(&spec).unwrap().run();
-        let slow = DistributedReduction::new(&spec)
-            .unwrap()
-            .run_with_delays(3, 5);
+        let slow = run_delayed(&spec, 3, 5);
         assert_eq!(fast.removals.len(), slow.removals.len());
         assert!(slow.rounds >= fast.rounds);
     }
@@ -496,30 +421,5 @@ mod tests {
         let s = dist.to_string();
         assert!(s.contains("feasible"));
         assert!(s.contains("rounds"));
-    }
-
-    #[test]
-    fn outcome_wire_round_trip() {
-        for spec in [
-            fixtures::example1().0,
-            fixtures::example2().0,
-            fixtures::figure7().0,
-        ] {
-            let outcome = DistributedReduction::new(&spec).unwrap().run();
-            let wire = outcome.to_wire();
-            assert_eq!(DistOutcome::from_wire(&wire).unwrap(), outcome, "{wire}");
-        }
-    }
-
-    #[test]
-    fn outcome_wire_rejects_garbage() {
-        assert!(DistOutcome::from_wire("").is_err());
-        assert!(DistOutcome::from_wire("feasible=2;rounds=1").is_err());
-        assert!(
-            DistOutcome::from_wire("feasible=1;rounds=1;messages=0;removals=x;remaining=").is_err()
-        );
-        assert!(
-            DistOutcome::from_wire("feasible=1;rounds=1;messages=0;removals=;remaining=q").is_err()
-        );
     }
 }

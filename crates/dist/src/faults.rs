@@ -220,20 +220,27 @@ impl FaultPlan {
     /// The extra delivery delay (in rounds) of transmission `transmission`
     /// — `0..=max_extra_delay`.
     pub fn extra_delay(&self, transmission: u64) -> u64 {
-        if self.max_extra_delay == 0 {
-            return 0;
-        }
-        self.roll(transmission, STREAM_DELAY) % (self.max_extra_delay + 1)
+        self.delay_on(transmission, STREAM_DELAY)
     }
 
     /// The extra delay of the *duplicate* copy of transmission
     /// `transmission` (decided on an independent stream so the copies
     /// reorder against each other).
     pub fn dup_extra_delay(&self, transmission: u64) -> u64 {
+        self.delay_on(transmission, STREAM_DUP_DELAY)
+    }
+
+    /// A roll on `stream` reduced to `0..=max_extra_delay`; at
+    /// `max_extra_delay == u64::MAX` every roll is already in range.
+    fn delay_on(&self, transmission: u64, stream: u64) -> u64 {
         if self.max_extra_delay == 0 {
             return 0;
         }
-        self.roll(transmission, STREAM_DUP_DELAY) % (self.max_extra_delay + 1)
+        let roll = self.roll(transmission, stream);
+        match self.max_extra_delay.checked_add(1) {
+            Some(range) => roll % range,
+            None => roll,
+        }
     }
 
     /// Whether `agent` is down in `round`.
@@ -352,6 +359,13 @@ fn parse_agent(s: &str) -> Result<AgentId, FaultPlanParseError> {
         .ok_or_else(|| bad(s, "an agent id like a3"))
 }
 
+fn parse_per_mille(s: &str) -> Result<u16, FaultPlanParseError> {
+    s.parse()
+        .ok()
+        .filter(|p| *p <= 1000)
+        .ok_or_else(|| bad(s, "per-mille 0..=1000"))
+}
+
 fn parse_span(s: &str) -> Result<(usize, Option<usize>), FaultPlanParseError> {
     let (from, until) = s
         .split_once("..")
@@ -376,21 +390,9 @@ impl FromStr for FaultPlan {
                 .ok_or_else(|| bad(field, "a key=value field"))?;
             match key {
                 "seed" => plan.seed = value.parse().map_err(|_| bad(value, "a u64 seed"))?,
-                "drop" => {
-                    plan.drop_per_mille = value
-                        .parse()
-                        .map_err(|_| bad(value, "per-mille 0..=1000"))?
-                }
-                "dup" => {
-                    plan.dup_per_mille = value
-                        .parse()
-                        .map_err(|_| bad(value, "per-mille 0..=1000"))?
-                }
-                "corrupt" => {
-                    plan.corrupt_per_mille = value
-                        .parse()
-                        .map_err(|_| bad(value, "per-mille 0..=1000"))?
-                }
+                "drop" => plan.drop_per_mille = parse_per_mille(value)?,
+                "dup" => plan.dup_per_mille = parse_per_mille(value)?,
+                "corrupt" => plan.corrupt_per_mille = parse_per_mille(value)?,
                 "delay" => {
                     plan.max_extra_delay = value.parse().map_err(|_| bad(value, "a round count"))?
                 }
@@ -576,6 +578,38 @@ mod tests {
         assert_eq!(text, "seed=11;drop=0;dup=0;delay=0;corrupt=250");
         assert_eq!(text.parse::<FaultPlan>().unwrap(), plan);
         assert!(!FaultPlan::none().to_string().contains("corrupt"));
+    }
+
+    #[test]
+    fn largest_delay_bound_is_total() {
+        let plan = FaultPlan::seeded(1).with_max_extra_delay(u64::MAX);
+        for t in 0..1000 {
+            // Every u64 is in 0..=u64::MAX; the point is not panicking.
+            let _ = plan.extra_delay(t);
+            let _ = plan.dup_extra_delay(t);
+        }
+        assert!((0..1000).any(|t| plan.extra_delay(t) > 1 << 32));
+        let parsed: FaultPlan = "seed=1;delay=18446744073709551615".parse().unwrap();
+        assert_eq!(parsed, plan);
+    }
+
+    #[test]
+    fn per_mille_fields_reject_values_above_1000() {
+        for key in ["drop", "dup", "corrupt"] {
+            assert!(format!("seed=1;{key}=1000").parse::<FaultPlan>().is_ok());
+            let err = format!("seed=1;{key}=1001")
+                .parse::<FaultPlan>()
+                .unwrap_err();
+            assert_eq!(
+                err,
+                FaultPlanParseError {
+                    fragment: "1001".into(),
+                    expected: "per-mille 0..=1000",
+                },
+                "{key}"
+            );
+            assert!(format!("seed=1;{key}=5000").parse::<FaultPlan>().is_err());
+        }
     }
 
     #[test]

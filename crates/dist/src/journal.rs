@@ -6,7 +6,8 @@
 //! resilient run as one JSON object per line: a `run_start` header
 //! carrying everything needed to reproduce the run (the exchange spec
 //! source, the [`FaultPlan`](crate::FaultPlan) wire string — which
-//! includes the fault seed — and the [`ResilientConfig`] wire string),
+//! includes the fault seed — and the
+//! [`ResilientConfig`](crate::ResilientConfig) wire string),
 //! followed by the per-node decision timeline (removals, retransmissions,
 //! dedup drops, decode failures, partition healings, crash restarts, sync
 //! handshakes), the final per-node views, and the verdict.

@@ -22,6 +22,13 @@
 //! fixpoint (checked against [`trustseq_core::Reducer`] in the tests, and
 //! property-tested on random topologies).
 //!
+//! One round loop runs the protocol in process:
+//! [`DistributedReduction::run_resilient`], over a
+//! [`FaultyTransport`] driven by a seeded [`FaultPlan`].
+//! [`DistributedReduction::run`] is that loop under the fault-free plan.
+//! The socket engine ([`supervise`]) runs the same protocol across OS
+//! processes.
+//!
 //! # Example
 //!
 //! ```
@@ -54,7 +61,7 @@ pub use codec::{
     CodecError, NodeStatus, Packet, RejectReason, ServiceOp, ServiceReply, ServiceRequest,
     ServiceStats,
 };
-pub use engine::{DistOutcome, DistRemoval, DistributedReduction, WireError};
+pub use engine::{DistOutcome, DistRemoval, DistributedReduction};
 pub use faults::{Crash, FaultPlan, FaultPlanParseError, Partition};
 pub use journal::{Journal, JournalError, JournalEvent, NoopObserver, RunObserver};
 pub use net::{encode_frame, Addr, FrameDecoder, FrameError, NetParseError, NetworkDescription};
@@ -66,4 +73,4 @@ pub use supervise::{
     decide, participants_and_edges, run_node, run_supervisor, NodeReport, SocketOutcome,
     SuperviseConfig, SuperviseError,
 };
-pub use transport::{DelayTransport, FaultyTransport, Transport, TransportStats};
+pub use transport::{FaultyTransport, TransportStats};

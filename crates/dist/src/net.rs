@@ -37,9 +37,9 @@
 //! config=attempts=6;ack=2;backoff=32;rounds=10000
 //! ```
 //!
-//! `config=` (optional) carries a [`SuperviseConfig`](crate::supervise::
-//! SuperviseConfig) wire string applied by every process that loads the
-//! file, so one artifact pins the whole deployment's protocol parameters.
+//! `config=` (optional) carries a [`SuperviseConfig`](crate::SuperviseConfig)
+//! wire string applied by every process that loads the file, so one
+//! artifact pins the whole deployment's protocol parameters.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -167,8 +167,8 @@ pub fn write_frame(
 
 /// Incremental frame reassembler. Feed it whatever byte chunks the socket
 /// hands you ([`push`](Self::push)), drain complete frames with
-/// [`next`](Self::next), and call [`finish`](Self::finish) at EOF to learn
-/// whether the stream ended cleanly on a frame boundary.
+/// [`next_frame`](Self::next_frame), and call [`finish`](Self::finish) at
+/// EOF to learn whether the stream ended cleanly on a frame boundary.
 #[derive(Debug)]
 pub struct FrameDecoder {
     buf: Vec<u8>,

@@ -418,7 +418,7 @@ fn link_thread(shared: LinkShared, rx: mpsc::Receiver<String>) {
                 }
                 let delay = plan.extra_delay(n);
                 if delay > 0 {
-                    deferred.push((now_tick as u64 + delay, frame));
+                    deferred.push(((now_tick as u64).saturating_add(delay), frame));
                     continue;
                 }
                 let c = conn.as_mut().expect("connected above");
@@ -463,7 +463,7 @@ fn link_thread(shared: LinkShared, rx: mpsc::Receiver<String>) {
                 if plan.duplicates(n) {
                     let dup_delay = plan.dup_extra_delay(n);
                     if dup_delay > 0 {
-                        deferred.push((now_tick as u64 + dup_delay, frame));
+                        deferred.push(((now_tick as u64).saturating_add(dup_delay), frame));
                     } else if raw_write(c, &bytes, &stats).is_err() {
                         conn = None;
                     }

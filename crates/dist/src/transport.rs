@@ -1,89 +1,13 @@
-//! Pluggable message transports for the distributed engine.
+//! The in-process lossy network the resilient engine runs over.
 //!
-//! The engine's round loop is generic over [`Transport`]: it hands the
-//! transport every outbound message and asks it each round which messages
-//! arrive. [`DelayTransport`] reproduces the original infallible in-memory
-//! queue (including its exact xorshift delay sequence, so refactored runs
-//! are byte-identical to the historical engine). [`FaultyTransport`]
-//! consults a [`FaultPlan`](crate::FaultPlan) to drop, duplicate, delay and
-//! partition traffic — the resilient engine runs over it.
+//! [`FaultyTransport`] consults a [`FaultPlan`] to drop, duplicate, delay
+//! and partition traffic, and loses what arrives at a down node. Under
+//! [`FaultPlan::none`] it is a reliable queue that delivers every message
+//! in the round after it was sent.
 
 use crate::faults::FaultPlan;
 use std::sync::atomic::{AtomicU64, Ordering};
 use trustseq_model::AgentId;
-
-/// A round-synchronous message channel between participants.
-///
-/// `round` arguments use the engine's 1-based round counter. A message
-/// sent in round *r* is never delivered before round *r + 1*.
-pub trait Transport<M> {
-    /// Accepts `message` from `from` to `to`, sent during `round`.
-    fn send(&mut self, round: usize, from: AgentId, to: AgentId, message: M);
-
-    /// Returns every message that arrives at the start of `round`, in
-    /// delivery order, paired with its addressee.
-    fn deliver(&mut self, round: usize) -> Vec<(AgentId, M)>;
-
-    /// Messages accepted but not yet delivered or lost.
-    fn in_flight(&self) -> usize;
-}
-
-/// The original reliable in-memory queue: every message arrives, delayed
-/// 1..=`max_delay` rounds by a deterministic xorshift stream.
-///
-/// The delay sequence is bit-for-bit the one the pre-transport engine
-/// drew, which keeps `run_with_delays` traces byte-identical across the
-/// refactor (asserted in this module's tests and the chaos harness).
-#[derive(Debug)]
-pub struct DelayTransport<M> {
-    rng_state: u64,
-    max_delay: u64,
-    queue: Vec<(usize, AgentId, M)>,
-}
-
-impl<M> DelayTransport<M> {
-    /// A transport delaying every message 1..=`max_delay` rounds, drawn
-    /// from `seed`.
-    pub fn new(seed: u64, max_delay: u64) -> Self {
-        DelayTransport {
-            rng_state: seed | 1,
-            max_delay: max_delay.max(1),
-            queue: Vec::new(),
-        }
-    }
-
-    fn next_delay(&mut self) -> usize {
-        self.rng_state ^= self.rng_state << 13;
-        self.rng_state ^= self.rng_state >> 7;
-        self.rng_state ^= self.rng_state << 17;
-        1 + (self.rng_state % self.max_delay) as usize
-    }
-}
-
-impl<M> Transport<M> for DelayTransport<M> {
-    fn send(&mut self, round: usize, _from: AgentId, to: AgentId, message: M) {
-        let due = round + self.next_delay();
-        self.queue.push((due, to, message));
-    }
-
-    fn deliver(&mut self, round: usize) -> Vec<(AgentId, M)> {
-        let mut arrived = Vec::new();
-        let mut still_flying = Vec::with_capacity(self.queue.len());
-        for (due, to, msg) in self.queue.drain(..) {
-            if due <= round {
-                arrived.push((to, msg));
-            } else {
-                still_flying.push((due, to, msg));
-            }
-        }
-        self.queue = still_flying;
-        arrived
-    }
-
-    fn in_flight(&self) -> usize {
-        self.queue.len()
-    }
-}
 
 /// Counters of what a [`FaultyTransport`] did to the traffic.
 ///
@@ -163,10 +87,11 @@ impl<M: Clone> FaultyTransport<M> {
     pub fn stats(&self) -> TransportStats {
         self.stats.snapshot()
     }
-}
 
-impl<M: Clone> Transport<M> for FaultyTransport<M> {
-    fn send(&mut self, round: usize, from: AgentId, to: AgentId, message: M) {
+    /// Accepts `message` from `from` to `to`, sent during `round` (the
+    /// engine's 1-based round counter). A message sent in round *r* is
+    /// never delivered before round *r + 1*.
+    pub fn send(&mut self, round: usize, from: AgentId, to: AgentId, message: M) {
         let tid = self.transmissions;
         self.transmissions += 1;
         self.stats.sent.fetch_add(1, Ordering::Relaxed);
@@ -178,16 +103,18 @@ impl<M: Clone> Transport<M> for FaultyTransport<M> {
             self.stats.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let due = round + 1 + self.plan.extra_delay(tid) as usize;
+        let due = arrival_round(round, self.plan.extra_delay(tid));
         if self.plan.duplicates(tid) {
             self.stats.duplicated.fetch_add(1, Ordering::Relaxed);
-            let dup_due = round + 1 + self.plan.dup_extra_delay(tid) as usize;
+            let dup_due = arrival_round(round, self.plan.dup_extra_delay(tid));
             self.queue.push((dup_due, from, to, message.clone()));
         }
         self.queue.push((due, from, to, message));
     }
 
-    fn deliver(&mut self, round: usize) -> Vec<(AgentId, M)> {
+    /// Returns every message that arrives at the start of `round`, in
+    /// delivery order, paired with its addressee.
+    pub fn deliver(&mut self, round: usize) -> Vec<(AgentId, M)> {
         let mut arrived = Vec::new();
         let mut still_flying = Vec::with_capacity(self.queue.len());
         for (due, from, to, msg) in self.queue.drain(..) {
@@ -205,9 +132,17 @@ impl<M: Clone> Transport<M> for FaultyTransport<M> {
         arrived
     }
 
-    fn in_flight(&self) -> usize {
+    /// Messages accepted but not yet delivered or lost.
+    pub fn in_flight(&self) -> usize {
         self.queue.len()
     }
+}
+
+/// The round a transmission sent in `round` arrives in, `extra_delay`
+/// rounds after the next one. It saturates, so a delay past the round
+/// counter's range never arrives.
+fn arrival_round(round: usize, extra_delay: u64) -> usize {
+    usize::try_from(extra_delay).map_or(usize::MAX, |extra| (round + 1).saturating_add(extra))
 }
 
 #[cfg(test)]
@@ -217,38 +152,6 @@ mod tests {
 
     fn a(n: u32) -> AgentId {
         AgentId::new(n)
-    }
-
-    #[test]
-    fn delay_transport_matches_legacy_xorshift() {
-        // Reproduce the exact delay stream the pre-transport engine drew.
-        let (seed, max_delay) = (3u64, 5u64);
-        let mut rng_state = seed | 1;
-        let mut legacy = move || {
-            rng_state ^= rng_state << 13;
-            rng_state ^= rng_state >> 7;
-            rng_state ^= rng_state << 17;
-            1 + (rng_state % max_delay) as usize
-        };
-        let mut transport: DelayTransport<u32> = DelayTransport::new(seed, max_delay);
-        for i in 0..100u32 {
-            let expected_due = 7 + legacy();
-            transport.send(7, a(0), a(1), i);
-            let (due, _, payload) = *transport.queue.last().unwrap();
-            assert_eq!(due, expected_due);
-            assert_eq!(payload, i);
-        }
-    }
-
-    #[test]
-    fn delay_transport_delivers_in_insertion_order() {
-        let mut t: DelayTransport<u32> = DelayTransport::new(0, 1);
-        t.send(1, a(0), a(1), 10);
-        t.send(1, a(0), a(2), 20);
-        assert_eq!(t.in_flight(), 2);
-        assert!(t.deliver(1).is_empty());
-        assert_eq!(t.deliver(2), vec![(a(1), 10), (a(2), 20)]);
-        assert_eq!(t.in_flight(), 0);
     }
 
     #[test]

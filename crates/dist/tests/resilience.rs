@@ -3,15 +3,13 @@
 //! The central property mirrors the paper's confluence argument: the
 //! reduction's fixpoint removal set is unique, so *any* fault plan under
 //! which every announcement is eventually delivered must steer the
-//! resilient engine to the same removal set as the fault-free run — the
+//! resilient engine to the naive centralised reducer's removal set — the
 //! faults may only cost rounds and retransmissions, never correctness.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use trustseq_core::EdgeId;
-use trustseq_dist::{
-    Crash, DistOutcome, DistributedReduction, FaultPlan, Partition, ResilientConfig,
-};
+use trustseq_core::{EdgeId, Reducer, SequencingGraph};
+use trustseq_dist::{Crash, DistributedReduction, FaultPlan, Partition, ResilientConfig};
 use trustseq_model::{AgentId, ExchangeSpec};
 use trustseq_workloads::{random_exchange, RandomConfig};
 
@@ -42,8 +40,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Under any eventually-delivering fault plan the resilient engine
-    /// decides, agrees with the fault-free run's verdict, and removes
-    /// exactly the fault-free run's removal set.
+    /// decides, agrees with the naive reducer's verdict, and removes
+    /// exactly the naive reducer's removal set.
     #[test]
     fn eventual_delivery_reaches_the_fault_free_fixpoint(
         spec_seed in 0u64..64,
@@ -87,15 +85,15 @@ proptest! {
             });
         }
 
-        let baseline = DistributedReduction::new(&spec).unwrap().run();
+        let baseline = Reducer::new(SequencingGraph::from_spec(&spec).unwrap()).run_naive();
         let base_set: BTreeSet<EdgeId> =
-            baseline.removals.iter().map(|r| r.edge).collect();
+            baseline.trace.steps().iter().map(|s| s.edge).collect();
 
         let out = engine.run_resilient(&plan, &generous()).unwrap();
         prop_assert_eq!(
             out.verdict.decided(),
             Some(baseline.feasible),
-            "plan [{}] did not reach the fault-free verdict: {}",
+            "plan [{}] did not reach the naive reducer's verdict: {}",
             plan,
             out
         );
@@ -142,23 +140,5 @@ proptest! {
         prop_assert_eq!(&plan, &back, "text was [{}]", text);
         // And the round-trip is textually stable, too.
         prop_assert_eq!(text, back.to_string());
-    }
-
-    /// `DistOutcome`'s wire form round-trips exactly, whatever delay
-    /// schedule produced it.
-    #[test]
-    fn dist_outcome_wire_round_trips(
-        spec_seed in 0u64..48,
-        delay_seed in 0u64..1 << 16,
-        max_delay in 1u64..4,
-    ) {
-        let spec = spec_for(spec_seed);
-        let out = DistributedReduction::new(&spec)
-            .unwrap()
-            .run_with_delays(delay_seed, max_delay);
-        let wire = out.to_wire();
-        let back = DistOutcome::from_wire(&wire).expect("wire form parses back");
-        prop_assert_eq!(&out, &back, "wire was [{}]", wire);
-        prop_assert_eq!(wire, back.to_wire());
     }
 }

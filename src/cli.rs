@@ -1085,8 +1085,9 @@ fn socket_audit_journal(
 /// Runs the multi-process socket transport (the `dist-run` command):
 /// spawns one `dist-node` OS process per principal of `source` using
 /// `binary`, supervises the run from this process, and summarises the
-/// outcome. With `with_journal`, also returns the audit journal (see
-/// [`socket_audit_journal`]).
+/// outcome. With `with_journal`, also returns the audit journal: the run
+/// header, every removal the supervisor observed, each node's final view
+/// and the verdict. It is an audit record, not a replayable one.
 ///
 /// # Errors
 ///

@@ -6,7 +6,8 @@
 //! reordering and crash/restart schedules included): every decided
 //! verdict must agree with the centralised reduction, no run may remove
 //! an edge the centralised reduction keeps, and every fault-free run must
-//! be byte-identical to the reliable engine.
+//! decide without retransmissions, relays, sync requests, dedup drops or
+//! decode failures.
 
 use trustseq::core::fixtures;
 use trustseq::dist::{Crash, DistributedReduction, FaultPlan, Partition, ResilientConfig};

@@ -298,3 +298,41 @@ fn flags_a_command_would_ignore_are_rejected() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The largest delay bound a `--faults` plan can name is a plan like any
+/// other: the run and the replay of its journal end `undecided` instead of
+/// panicking (exit 101) in the delay arithmetic.
+#[test]
+fn largest_fault_delay_runs_and_replays_without_panicking() {
+    let dir = std::env::temp_dir().join(format!("trustseq-max-delay-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("run.jsonl");
+    let journal = journal.to_str().unwrap();
+    let run = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_trustseq"))
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .expect("binary runs")
+    };
+    let dist = run(&[
+        "dist",
+        "--faults",
+        "seed=1;delay=18446744073709551615",
+        "specs/example1.tseq",
+        "--journal",
+        journal,
+    ]);
+    let replay = run(&["journal-replay", journal]);
+    std::fs::remove_dir_all(&dir).ok();
+    for (command, output) in [("dist", &dist), ("journal-replay", &replay)] {
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_ne!(output.status.code(), Some(101), "{command}: {stderr}");
+        assert!(output.status.success(), "{command}: {stdout}{stderr}");
+        assert!(
+            stdout.contains("undecided (retries exhausted)"),
+            "{command}: {stdout}"
+        );
+    }
+}

@@ -215,24 +215,30 @@ proptest! {
         }
     }
 
-    /// Asynchronous message delays never change the distributed verdict
-    /// (liveness information only shrinks, so stale views are
-    /// conservative).
+    /// Asynchronous message delays never change the distributed verdict,
+    /// removal set or announcement count (liveness information only
+    /// shrinks, so stale views are conservative).
     #[test]
     fn distributed_verdict_is_delay_invariant(
         config in arb_federated_config(),
         seed in any::<u64>(),
         max_delay in 1u64..6,
     ) {
+        use trustseq::dist::{DistributedReduction, FaultPlan, ResilientConfig};
         let ex = random_exchange(&config);
-        let sync = trustseq::dist::DistributedReduction::new(&ex.spec)
+        let sync = DistributedReduction::new(&ex.spec).unwrap().run();
+        // Every announcement arrives 1..=max_delay rounds after it is sent.
+        let plan = FaultPlan::seeded(seed).with_max_extra_delay(max_delay - 1);
+        let delayed = DistributedReduction::new(&ex.spec)
             .unwrap()
-            .run();
-        let delayed = trustseq::dist::DistributedReduction::new(&ex.spec)
-            .unwrap()
-            .run_with_delays(seed, max_delay);
-        prop_assert_eq!(sync.feasible, delayed.feasible);
-        prop_assert_eq!(sync.removals.len(), delayed.removals.len());
+            .run_resilient(&plan, &ResilientConfig::default())
+            .unwrap();
+        prop_assert_eq!(delayed.verdict.decided(), Some(sync.feasible));
+        let edges = |removals: &[trustseq::dist::DistRemoval]| {
+            removals.iter().map(|r| r.edge).collect::<std::collections::BTreeSet<_>>()
+        };
+        prop_assert_eq!(edges(&sync.removals), edges(&delayed.removals));
+        prop_assert_eq!(sync.messages, delayed.messages);
     }
 
     /// Money parsing round-trips through display for arbitrary amounts.
