@@ -5,17 +5,24 @@
 //! round/message counts once per run. A `*_distributed` row is
 //! `DistributedReduction::run`: the resilient round loop under the
 //! fault-free plan, so every announcement goes through the wire codec and
-//! is acknowledged.
+//! is acknowledged. A `*_centralized` row times only the reduction: one
+//! reused `ScratchReducer::run_into` (what `Reducer::run` runs) per pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use trustseq_core::{fixtures, Reducer, SequencingGraph};
+use trustseq_core::{fixtures, ReductionOutcome, ScratchReducer, SequencingGraph, Strategy};
 use trustseq_dist::DistributedReduction;
 use trustseq_model::Money;
 use trustseq_workloads::{broker_chain, bundle_arithmetic};
 
 fn bench_distributed(c: &mut Criterion) {
     let mut group = c.benchmark_group("distributed");
+    let mut scratch = ScratchReducer::new();
+    let mut outcome = ReductionOutcome::default();
+    let mut centralized = |graph: &SequencingGraph| {
+        scratch.run_into(black_box(graph), Strategy::Deterministic, &mut outcome);
+        outcome.feasible
+    };
 
     let (ex1, _) = fixtures::example1();
     println!(
@@ -26,9 +33,7 @@ fn bench_distributed(c: &mut Criterion) {
         b.iter(|| DistributedReduction::new(black_box(&ex1)).unwrap().run())
     });
     let graph = SequencingGraph::from_spec(&ex1).unwrap();
-    group.bench_function("example1_centralized", |b| {
-        b.iter(|| Reducer::new(black_box(graph.clone())).run())
-    });
+    group.bench_function("example1_centralized", |b| b.iter(|| centralized(&graph)));
 
     for depth in [2usize, 4, 8, 16] {
         let (chain, _) = broker_chain(depth, Money::from_dollars(1000), Money::from_dollars(5));
@@ -45,7 +50,7 @@ fn bench_distributed(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("chain_centralized_depth", depth),
             &depth,
-            |b, _| b.iter(|| Reducer::new(black_box(graph.clone())).run()),
+            |b, _| b.iter(|| centralized(&graph)),
         );
     }
 

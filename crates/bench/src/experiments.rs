@@ -660,13 +660,13 @@ pub fn e18_document_assembly() -> ExperimentReport {
 /// E19 — feasibility-vs-trust-density sweep over random broker chains,
 /// measured with the parallel batch analyzer.
 pub fn e19_trust_density_sweep() -> ExperimentReport {
-    use trustseq_workloads::{feasibility_rate, RandomConfig};
+    use trustseq_workloads::{feasibility_rate, RandomConfig, TRUST_DENSITY_GRID};
     let base = RandomConfig {
         width: 2,
         max_depth: 3,
         ..Default::default()
     };
-    let densities = [0.0, 0.25, 0.5, 0.75, 1.0];
+    let densities = TRUST_DENSITY_GRID;
     let rates: Vec<f64> = densities
         .iter()
         .map(|&trust_density| {

@@ -50,7 +50,7 @@
 
 use crate::build::BuildOptions;
 use crate::canon::{canonicalize, prefingerprint, CanonicalForm, Fingerprint, PreFingerprint};
-use crate::graph::{EdgeColor, SequencingGraph};
+use crate::graph::SequencingGraph;
 use crate::obs;
 use crate::reduce::{ConfluenceReport, ReductionOutcome, Strategy};
 use crate::scratch::ScratchReducer;
@@ -458,15 +458,9 @@ impl AnalysisCache {
                 // Reduce outside the lock: reductions are the expensive
                 // part, and a racing thread interning the same structure
                 // first is harmless.
-                // Edge colours never change during a reduction, so the
-                // remaining reds are read off the canonical graph itself.
                 let canonical = form.canonical_graph(graph);
                 let outcome = ScratchReducer::new().run(&canonical, Strategy::Deterministic);
-                let remaining_red = outcome
-                    .remaining_edges
-                    .iter()
-                    .filter(|&&e| canonical.edge(e).color == EdgeColor::Red)
-                    .count() as u32;
+                let remaining_red = outcome.remaining_red(&canonical) as u32;
                 let candidate = Arc::new(CacheEntry {
                     outcome,
                     remaining_red,
@@ -756,12 +750,7 @@ mod tests {
         assert!(verdict.remaining_edges > 0);
         let plain = analyze(&spec).unwrap();
         assert_eq!(verdict.remaining_edges, plain.remaining_edges.len());
-        let reds = plain
-            .remaining_edges
-            .iter()
-            .filter(|&&e| graph.edge(e).color == EdgeColor::Red)
-            .count();
-        assert_eq!(verdict.remaining_red as usize, reds);
+        assert_eq!(verdict.remaining_red as usize, plain.remaining_red(&graph));
     }
 
     #[test]

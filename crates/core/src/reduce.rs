@@ -1,7 +1,7 @@
 //! The reduction engine: rules #1 and #2, maximal (greedy) reduction and the
 //! feasibility test (§4.2).
 
-use crate::graph::{EdgeId, SequencingGraph};
+use crate::graph::{EdgeColor, EdgeId, SequencingGraph};
 use crate::obs;
 use crate::trace::{ReductionStep, ReductionTrace, Rule};
 use crate::CoreError;
@@ -61,6 +61,17 @@ pub struct ReductionOutcome {
     pub trace: ReductionTrace,
     /// Edges still live when no rule applied (empty iff `feasible`).
     pub remaining_edges: Vec<EdgeId>,
+}
+
+impl ReductionOutcome {
+    /// How many of the remaining edges are red. Edge colours never change
+    /// during a reduction, so they are read off `graph`, the graph reduced.
+    pub fn remaining_red(&self, graph: &SequencingGraph) -> usize {
+        self.remaining_edges
+            .iter()
+            .filter(|&&e| graph.edge(e).color == EdgeColor::Red)
+            .count()
+    }
 }
 
 impl fmt::Display for ReductionOutcome {

@@ -824,11 +824,6 @@ pub struct ServiceStats {
     pub queue_depth: u32,
     /// Connections currently open.
     pub connections: u32,
-    /// Analysis-cache hits so far (`analyzespec` lookups; resident
-    /// structures are answered off their analyzers and never probe it).
-    pub cache_hits: u64,
-    /// Analysis-cache misses (fresh reductions) so far.
-    pub cache_misses: u64,
 }
 
 /// A server→client frame of the analysis service. `seq` always echoes the
@@ -938,8 +933,6 @@ impl ServiceReply {
                 field(out, b";rejected=", stats.rejected);
                 field(out, b";queue=", u64::from(stats.queue_depth));
                 field(out, b";conns=", u64::from(stats.connections));
-                field(out, b";hits=", stats.cache_hits);
-                field(out, b";misses=", stats.cache_misses);
             }
             ServiceReply::Rejected { seq, reason } => {
                 field(out, b"rejected;seq=", seq);
@@ -995,8 +988,6 @@ impl ServiceReply {
                 let rejected = num(fields.next(), "rejected", "rejected=<u64>")?;
                 let queue_depth = num(fields.next(), "queue", "queue=<u32>")?;
                 let connections = num(fields.next(), "conns", "conns=<u32>")?;
-                let cache_hits = num(fields.next(), "hits", "hits=<u64>")?;
-                let cache_misses = num(fields.next(), "misses", "misses=<u64>")?;
                 ServiceReply::Stats {
                     seq,
                     stats: ServiceStats {
@@ -1005,8 +996,6 @@ impl ServiceReply {
                         rejected,
                         queue_depth,
                         connections,
-                        cache_hits,
-                        cache_misses,
                     },
                 }
             }
@@ -1247,8 +1236,6 @@ mod tests {
                     rejected: 250,
                     queue_depth: 12,
                     connections: 8,
-                    cache_hits: 90_000,
-                    cache_misses: 64,
                 },
             },
             ServiceReply::Rejected {
@@ -1316,7 +1303,7 @@ mod tests {
         );
         assert_eq!(
             reply_samples()[4].to_wire(),
-            "svcstats;seq=7;structures=64;accepted=100000;rejected=250;queue=12;conns=8;hits=90000;misses=64"
+            "svcstats;seq=7;structures=64;accepted=100000;rejected=250;queue=12;conns=8"
         );
         assert_eq!(
             reply_samples()[5].to_wire(),
@@ -1373,6 +1360,8 @@ mod tests {
             "rejected;seq=1;reason=tired",
             "rejected;seq=1",
             "svcstats;seq=1;structures=1",
+            // Nothing may follow `conns`.
+            "svcstats;seq=1;structures=1;accepted=0;rejected=0;queue=0;conns=0;hits=0;misses=0",
             "verdict;seq=1;feasible=1;remaining=0;red=0;extra=1",
         ] {
             assert!(ServiceReply::from_wire(frame).is_err(), "{frame:?}");

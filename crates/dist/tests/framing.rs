@@ -317,9 +317,9 @@ const U32_SLOTS: [&str; 12] = [
     "verdict;seq=1;feasible=0;remaining={};red=0",
     "verdict;seq=1;feasible=0;remaining=0;red={}",
     "everdict;seq=1;feasible=0;remaining={};hash=7",
-    "svcstats;seq=1;structures={};accepted=0;rejected=0;queue=0;conns=0;hits=0;misses=0",
-    "svcstats;seq=1;structures=0;accepted=0;rejected=0;queue={};conns=0;hits=0;misses=0",
-    "svcstats;seq=1;structures=0;accepted=0;rejected=0;queue=0;conns={};hits=0;misses=0",
+    "svcstats;seq=1;structures={};accepted=0;rejected=0;queue=0;conns=0",
+    "svcstats;seq=1;structures=0;accepted=0;rejected=0;queue={};conns=0",
+    "svcstats;seq=1;structures=0;accepted=0;rejected=0;queue=0;conns={}",
     "status;from=a1;tick=0;live={};props=0;unacked=0;abandoned=0;dead=;tx=0;rx=0;ftx=0;frx=0;rc=0;rtt=0",
     "status;from=a1;tick=0;live=0;props={};unacked=0;abandoned=0;dead=;tx=0;rx=0;ftx=0;frx=0;rc=0;rtt=0",
     "status;from=a1;tick=0;live=0;props=0;unacked={};abandoned=0;dead=;tx=0;rx=0;ftx=0;frx=0;rc=0;rtt=0",
@@ -482,14 +482,12 @@ mod oracle {
                 u8::from(*feasible)
             ),
             ServiceReply::Stats { seq, stats } => format!(
-                "svcstats;seq={seq};structures={};accepted={};rejected={};queue={};conns={};hits={};misses={}",
+                "svcstats;seq={seq};structures={};accepted={};rejected={};queue={};conns={}",
                 stats.structures,
                 stats.accepted,
                 stats.rejected,
                 stats.queue_depth,
-                stats.connections,
-                stats.cache_hits,
-                stats.cache_misses
+                stats.connections
             ),
             ServiceReply::Rejected { seq, reason } => {
                 format!("rejected;seq={seq};reason={}", reason_token(*reason))
@@ -633,8 +631,6 @@ proptest! {
                     rejected: b,
                     queue_depth: a as u32,
                     connections: b as u32,
-                    cache_hits: a.rotate_left(7),
-                    cache_misses: b.rotate_left(13),
                 },
             },
             _ => ServiceReply::Rejected { seq, reason: reasons[usize::from(kind - 3) % reasons.len()] },

@@ -16,8 +16,8 @@
 //!     │ a push wakes the shard's worker only if it is parked
 //!     ▼
 //!  workers (pool indices 1..=W): pop ≤ 64 into a worker-owned buffer;
-//!     │ resident Stalls; AnalysisCache for specs; replies encoded in place
-//!     │ into one reused output buffer, one write per connection run
+//!     │ resident Stalls; one direct reduction per spec; replies encoded
+//!     │ in place into one reused output buffer, one write per connection run
 //!     ▼
 //!  writer half (shared Mutex<Conn> per connection, write deadline)
 //! ```
@@ -42,9 +42,9 @@
 //! [`GraphDelta`](trustseq_core::GraphDelta) batches to that analyzer).
 //! The §4.2 reduction is confluent, so the analyzer's irreducible
 //! remainder — `feasible`, `remaining` and `red` — is fixed by the graph
-//! alone: no canonicalisation, no cache probe, no cross-check. The load
-//! generator replays every such verdict off the clock against
-//! full-re-reduction mirrors instead.
+//! alone: no canonicalisation and no cross-check. The load generator
+//! replays every such verdict off the clock against full-re-reduction
+//! mirrors instead.
 //!
 //! `event` additionally folds each verdict into the structure's
 //! order-sensitive FNV hash, echoed in every `everdict` reply, and an
@@ -53,10 +53,11 @@
 //! generation law the load generator mirrors. `mutate` keeps its u32 id,
 //! never admits and never folds.
 //!
-//! The shared [`AnalysisCache`] serves `analyzespec` alone: anonymous
-//! specs have no resident analyzer, and canonical sharing lets
-//! label-isomorphic submissions reuse one reduction. Resident keys never
-//! enter it.
+//! An `analyzespec` has no resident analyzer, so the worker parses the
+//! spec, builds its graph and reduces it once with a fresh
+//! [`ScratchReducer`]. Confluence makes that one reduction the answer.
+//! Nothing on the path canonicalizes, so one wide bundle packed into a
+//! frame cannot hold its shard for seconds.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -65,7 +66,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
-use trustseq_core::{obs, pool, AnalysisCache, SequencingGraph};
+use trustseq_core::{obs, pool, ScratchReducer, SequencingGraph, Strategy};
 use trustseq_dist::net::{write_frame, Addr, Conn, FrameDecoder, Listener};
 use trustseq_dist::{RejectReason, ServiceOp, ServiceReply, ServiceRequest, ServiceStats};
 use trustseq_workloads::{fnv_fold, MarketMode, MarketOp, RandomConfig, Stall, FNV_OFFSET};
@@ -106,10 +107,11 @@ pub struct ServiceConfig {
     pub quota_rate: f64,
     /// Per-connection token-bucket burst.
     pub quota_burst: f64,
-    /// Analysis-cache entry cap per shard.
+    /// Analysis-cache entry cap. The server keeps no cache and never reads
+    /// this: only the benchmark's traced replay (`perfbench/src/replay.rs`)
+    /// sizes its own cache from it. It goes with the benchmark change that
+    /// ROADMAP.md lists for that replay.
     pub cache_capacity: usize,
-    /// Analysis-cache TTL; `None` keeps entries until evicted.
-    pub cache_ttl: Option<Duration>,
     /// Hard cap on a single request frame — an announcement above this
     /// drops the connection before any payload is buffered.
     pub max_frame: usize,
@@ -137,7 +139,6 @@ impl Default for ServiceConfig {
             quota_rate: 0.0,
             quota_burst: 64.0,
             cache_capacity: 4096,
-            cache_ttl: None,
             max_frame: 64 << 10,
             write_deadline: Duration::from_secs(2),
             idle_timeout: Duration::from_secs(2),
@@ -253,8 +254,9 @@ fn shard_of(id: u64, workers: usize) -> usize {
 
 struct Shared {
     cfg: ServiceConfig,
-    /// Phase 1 of shutdown: readers shed every new request as `Draining`.
-    stop: AtomicBool,
+    /// Phase 1 of shutdown, set by [`ServerHandle::shutdown`]: the accept
+    /// loop stops and readers shed every new request as `Draining`.
+    stop: Arc<AtomicBool>,
     /// Phase 2: the queue has been confirmed empty after a grace period —
     /// workers may retire.
     halt: AtomicBool,
@@ -263,22 +265,18 @@ struct Shared {
     /// lock, so an index, once valid, stays valid. Workers clone the
     /// `Arc` under the read lock and release it before locking the stall.
     stalls: RwLock<Vec<Arc<Mutex<Resident>>>>,
-    cache: AnalysisCache,
     counters: Counters,
     conns: Mutex<HashMap<u64, Arc<ConnShared>>>,
 }
 
 impl Shared {
     fn stats(&self) -> ServiceStats {
-        let cache = self.cache.stats();
         ServiceStats {
             structures: self.stalls.read().len() as u32,
             accepted: self.counters.accepted.load(Ordering::Relaxed),
             rejected: self.counters.rejected(),
             queue_depth: self.queue.len() as u32,
             connections: self.counters.conns_open.load(Ordering::Relaxed) as u32,
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
         }
     }
 
@@ -350,16 +348,8 @@ fn push_reply(out: &mut Vec<u8>, reply: &ServiceReply) {
 /// A handle for stopping a running [`Server`] from another thread.
 #[derive(Debug, Clone)]
 pub struct ServerHandle {
-    shared: Arc<SharedHandle>,
+    stop: Arc<AtomicBool>,
 }
-
-#[derive(Debug)]
-struct SharedHandle {
-    stop: Arc<StopFlag>,
-}
-
-#[derive(Debug)]
-struct StopFlag(AtomicBool);
 
 impl ServerHandle {
     /// Begins a graceful drain: the listener stops accepting, every
@@ -367,7 +357,7 @@ impl ServerHandle {
     /// already-queued requests are answered normally, then
     /// [`Server::run`] returns.
     pub fn shutdown(&self) {
-        self.shared.stop.0.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::Relaxed);
     }
 }
 
@@ -376,7 +366,6 @@ pub struct Server {
     listener: Listener,
     local: Addr,
     shared: Arc<Shared>,
-    stop: Arc<StopFlag>,
 }
 
 impl std::fmt::Debug for Server {
@@ -404,11 +393,10 @@ impl Server {
                 .collect(),
         );
         let shared = Arc::new(Shared {
-            stop: AtomicBool::new(false),
+            stop: Arc::new(AtomicBool::new(false)),
             halt: AtomicBool::new(false),
             queue: ShardedQueue::new(workers, cfg.queue_capacity),
             stalls,
-            cache: AnalysisCache::with_capacity_and_ttl(cfg.cache_capacity, cfg.cache_ttl),
             counters: Counters::default(),
             conns: Mutex::new(HashMap::new()),
             cfg,
@@ -417,7 +405,6 @@ impl Server {
             listener,
             local,
             shared,
-            stop: Arc::new(StopFlag(AtomicBool::new(false))),
         })
     }
 
@@ -430,9 +417,7 @@ impl Server {
     /// A shutdown handle, cloneable across threads.
     pub fn handle(&self) -> ServerHandle {
         ServerHandle {
-            shared: Arc::new(SharedHandle {
-                stop: Arc::clone(&self.stop),
-            }),
+            stop: Arc::clone(&self.shared.stop),
         }
     }
 
@@ -441,10 +426,7 @@ impl Server {
     /// and the final counter snapshot is returned.
     pub fn run(self) -> io::Result<ServiceStats> {
         let Server {
-            listener,
-            shared,
-            stop,
-            ..
+            listener, shared, ..
         } = self;
         listener.set_nonblocking(true)?;
         let workers = shared.cfg.workers.max(1);
@@ -452,7 +434,7 @@ impl Server {
 
         pool::broadcast(workers + 1, &|index| {
             if index == 0 {
-                accept_loop(&listener, &shared, &stop, &readers);
+                accept_loop(&listener, &shared, &readers);
             } else {
                 worker_loop(&shared, index - 1);
             }
@@ -475,12 +457,11 @@ impl Server {
 fn accept_loop(
     listener: &Listener,
     shared: &Arc<Shared>,
-    stop: &StopFlag,
     readers: &Mutex<Vec<std::thread::JoinHandle<()>>>,
 ) {
     let mut next_id: u64 = 0;
     loop {
-        if stop.0.load(Ordering::Relaxed) {
+        if shared.stop.load(Ordering::Relaxed) {
             break;
         }
         match listener.accept() {
@@ -496,11 +477,10 @@ fn accept_loop(
             Err(_) => std::thread::sleep(POLL),
         }
     }
-    // Drain, phase 1: flip the shared stop flag — readers now shed every
-    // new request with `Draining`. The grace sleep lets any reader that
-    // passed the flag check mid-ladder finish its enqueue before we start
-    // judging emptiness.
-    shared.stop.store(true, Ordering::Relaxed);
+    // Drain, phase 1: the stop flag is up, so readers shed every new
+    // request with `Draining`. The grace sleep lets any reader that passed
+    // the flag check mid-ladder finish its enqueue before we start judging
+    // emptiness.
     std::thread::sleep(2 * POLL);
     while !shared.queue.is_empty() {
         std::thread::sleep(Duration::from_millis(1));
@@ -840,6 +820,9 @@ fn resident_verdict(
     }
 }
 
+/// Answers an inline spec with one direct reduction of its graph. A spec
+/// already allocates for its parse and its graph, so the request gets a
+/// scratchpad of its own rather than borrowing one from its worker.
 fn analyze_spec(shared: &Arc<Shared>, seq: u64, spec: &str) -> ServiceReply {
     let Ok(spec) = trustseq_lang::parse_spec(spec) else {
         return semantic_reject(shared, seq, RejectReason::Malformed);
@@ -847,12 +830,12 @@ fn analyze_spec(shared: &Arc<Shared>, seq: u64, spec: &str) -> ServiceReply {
     let Ok(graph) = SequencingGraph::from_spec(&spec) else {
         return semantic_reject(shared, seq, RejectReason::Malformed);
     };
-    let cached = shared.cache.verdict(&graph);
+    let outcome = ScratchReducer::new().run(&graph, Strategy::Deterministic);
     ServiceReply::Verdict {
         seq,
-        feasible: cached.feasible,
-        remaining: cached.remaining_edges as u32,
-        remaining_red: cached.remaining_red,
+        feasible: outcome.feasible,
+        remaining: outcome.remaining_edges.len() as u32,
+        remaining_red: outcome.remaining_red(&graph) as u32,
     }
 }
 
@@ -892,7 +875,7 @@ mod tests {
             ..ServiceConfig::default()
         };
         let shared = Shared {
-            stop: AtomicBool::new(false),
+            stop: Arc::new(AtomicBool::new(false)),
             halt: AtomicBool::new(false),
             queue: ShardedQueue::new(1, 4),
             stalls: RwLock::new(
@@ -901,7 +884,6 @@ mod tests {
                     .map(|s| Arc::new(Mutex::new(Resident::new(s))))
                     .collect(),
             ),
-            cache: AnalysisCache::with_capacity_and_ttl(64, None),
             counters: Counters::default(),
             conns: Mutex::new(HashMap::new()),
             cfg,

@@ -50,5 +50,6 @@ pub use market::{
 };
 pub use random::{
     feasibility_rate, feasibility_rate_cached, random_exchange, RandomConfig, RandomExchange,
+    TRUST_DENSITY_GRID,
 };
 pub use stream::{feasibility_rate_streaming, sweep_streaming, StreamReport};

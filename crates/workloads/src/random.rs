@@ -43,6 +43,10 @@ impl Default for RandomConfig {
     }
 }
 
+/// The direct-trust densities a feasibility sweep visits, from none to
+/// full trust: the grid of experiment E19 and of the CLI's `sweep`.
+pub const TRUST_DENSITY_GRID: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
+
 /// A generated random exchange: the specification plus the chain structure.
 #[derive(Debug, Clone)]
 pub struct RandomExchange {

@@ -197,7 +197,7 @@ static COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         usage: "sweep",
-        help: "measure the feasibility rate of a seeded random exchange corpus",
+        help: "feasibility rate of a seeded random exchange corpus at five trust densities",
         run: Run::Other(|inv| run_sweep(inv.samples, inv.stream, inv.cache.as_ref())),
     },
     CommandSpec {
@@ -384,7 +384,7 @@ static FLAGS: &[Flag] = &[
         scope: Only("sweep"),
         kind: count("corpus size", |a, n| a.samples = n as u64),
         default: "1000",
-        help: "corpus size: seeds 0..N",
+        help: "corpus size per trust density: seeds 0..N",
     },
     Flag {
         usage: "--stream CHUNK",
@@ -645,10 +645,6 @@ fn parse_args(args: &[String]) -> Result<(&'static CommandSpec, Invocation), Str
         samples: 1000,
         service: ServiceConfig {
             structures: 32,
-            // A long-running service must survive unbounded spec
-            // diversity: entries idle past the TTL are reclaimed lazily,
-            // and the segmented eviction keeps the table under its cap.
-            cache_ttl: Some(std::time::Duration::from_secs(300)),
             ..ServiceConfig::default()
         },
         loadgen: LoadgenConfig {
@@ -1131,13 +1127,15 @@ pub fn run_dist_sockets(
     Ok((out, journal))
 }
 
-/// Runs the `sweep` command: the feasible fraction of `samples` seeded
-/// random exchanges (seeds `0..samples`, default workload topology).
-/// Without a chunk budget the corpus is materialized and analyzed in one
+/// Runs the `sweep` command: at each density of
+/// [`TRUST_DENSITY_GRID`](trustseq_workloads::TRUST_DENSITY_GRID) (E19's
+/// grid), the feasible fraction of `samples` seeded random exchanges
+/// (seeds `0..samples`, default workload topology). Without a chunk
+/// budget each density's corpus is materialized and analyzed in one
 /// batch; with `chunk = Some(n)` it streams through
 /// [`trustseq_workloads::sweep_streaming`], holding at most `n` specs
 /// resident regardless of corpus size. Both paths honour the process-wide
-/// worker pool, and both report the same rate.
+/// worker pool, and both report the same rates.
 ///
 /// # Errors
 ///
@@ -1148,27 +1146,33 @@ pub fn run_sweep(
     chunk: Option<usize>,
     cache: Option<&trustseq_core::AnalysisCache>,
 ) -> Result<String, String> {
-    let config = trustseq_workloads::RandomConfig::default();
     let mut out = String::new();
-    match chunk {
-        Some(chunk) => {
-            let report = trustseq_workloads::sweep_streaming(&config, samples, chunk, cache);
-            let _ = writeln!(
-                out,
-                "sweep: {} samples, feasibility rate {:.4}",
-                report.samples,
+    let _ = writeln!(out, "sweep: {samples} samples per trust density");
+    let (mut chunks, mut errors) = (0, 0);
+    for trust_density in trustseq_workloads::TRUST_DENSITY_GRID {
+        let config = trustseq_workloads::RandomConfig {
+            trust_density,
+            ..Default::default()
+        };
+        let rate = match chunk {
+            Some(chunk) => {
+                let report = trustseq_workloads::sweep_streaming(&config, samples, chunk, cache);
+                chunks += report.chunks;
+                errors += report.errors;
                 report.rate()
-            );
-            let _ = writeln!(
-                out,
-                "streamed in {} chunks of at most {} resident specs ({} errors)",
-                report.chunks, report.chunk_len, report.errors
-            );
-        }
-        None => {
-            let rate = trustseq_workloads::feasibility_rate_cached(&config, samples, cache);
-            let _ = writeln!(out, "sweep: {samples} samples, feasibility rate {rate:.4}");
-        }
+            }
+            None => trustseq_workloads::feasibility_rate_cached(&config, samples, cache),
+        };
+        let _ = writeln!(
+            out,
+            "  trust density {trust_density:.2}: feasibility rate {rate:.4}"
+        );
+    }
+    if let Some(chunk) = chunk {
+        let _ = writeln!(
+            out,
+            "streamed in {chunks} chunks of at most {chunk} resident specs ({errors} errors)"
+        );
     }
     Ok(out)
 }
@@ -1263,8 +1267,8 @@ fn cmd_serve(inv: &Invocation) -> Result<String, String> {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "drained: {} accepted, {} rejected, {} cache hits / {} misses",
-        stats.accepted, stats.rejected, stats.cache_hits, stats.cache_misses
+        "drained: {} accepted, {} rejected",
+        stats.accepted, stats.rejected
     );
     Ok(out)
 }
@@ -1301,8 +1305,8 @@ fn render_loadgen_report(out: &mut String, clients: usize, report: &LoadgenRepor
     if let Some(s) = &report.server {
         let _ = writeln!(
             out,
-            "  server: queue depth {}, connections {}, cache {} hits / {} misses",
-            s.queue_depth, s.connections, s.cache_hits, s.cache_misses
+            "  server: queue depth {}, connections {}",
+            s.queue_depth, s.connections
         );
     }
 }
@@ -1377,10 +1381,7 @@ fn bench_phase_json(
     report: &LoadgenReport,
 ) -> String {
     let [overloaded, quota, draining, malformed, unknown] = report.rejected;
-    let (queue_depth, cache_hits, cache_misses) = report
-        .server
-        .as_ref()
-        .map_or((0, 0, 0), |s| (s.queue_depth, s.cache_hits, s.cache_misses));
+    let queue_depth = report.server.as_ref().map_or(0, |s| s.queue_depth);
     format!(
         r#"    {{
       "phase": "{name}",
@@ -1393,7 +1394,7 @@ fn bench_phase_json(
       "rejected_draining": {draining}, "rejected_malformed": {malformed}, "rejected_unknown": {unknown},
       "p50_us": {}, "p99_us": {}, "p999_us": {}, "max_us": {},
       "wrong_verdicts": {}, "hash_mismatches": {}, "hash_checked": {},
-      "final_queue_depth": {queue_depth}, "cache_hits": {cache_hits}, "cache_misses": {cache_misses}
+      "final_queue_depth": {queue_depth}
     }}"#,
         loadgen.clients,
         loadgen.window,
@@ -1474,7 +1475,7 @@ fn run_service_bench(
     let json = format!(
         r#"{{
   "suite": "service",
-  "note": "always-on analysis service (E27): pipelined request engine over loopback TCP on one machine — the loadgen clients, their reader threads, the server's accept loop, connection readers and pool workers all share {cpus} core(s), so rps is a self-contained single-box number, not a distributed-systems claim. Requests are length-prefixed text frames (analyze/mutate/analyzespec/stats) against a resident marketplace population; analyze and mutate verdicts are read straight off each structure's resident incremental analyzer, and only analyzespec goes through the shared two-tier analysis cache (TTL + segmented eviction). Every verdict the clients receive is verified after the timed window by replaying the accepted schedule against per-client full-re-reduction mirrors (the centralised reducer) and comparing order-sensitive FNV verdict-stream hashes per structure; wrong_verdicts and hash_mismatches are hard gates, not observations. Latency percentiles cover accepted (verdict-carrying) replies only and include client-side queueing inside the pipelining window, so they are honest end-to-end numbers at full throughput, not unloaded ping times. The overload phase sizes per-connection token-bucket quotas to half of phase 1's measured rps while clients offer full speed (~2x overload): the gate demands typed shedding engaged and the p99 of accepted requests stays bounded — no hangs, no unbounded queueing, no wrong verdicts under pressure.",
+  "note": "always-on analysis service (E27): pipelined request engine over loopback TCP on one machine — the loadgen clients, their reader threads, the server's accept loop, connection readers and pool workers all share {cpus} core(s), so rps is a self-contained single-box number, not a distributed-systems claim. Requests are length-prefixed text frames (analyze/mutate/analyzespec/stats) against a resident marketplace population; analyze and mutate verdicts are read straight off each structure's resident incremental analyzer, and each analyzespec is answered by one direct reduction of its parsed graph (the server keeps no analysis cache and canonicalizes nothing). Every verdict the clients receive is verified after the timed window by replaying the accepted schedule against per-client full-re-reduction mirrors (the centralised reducer) and comparing order-sensitive FNV verdict-stream hashes per structure; wrong_verdicts and hash_mismatches are hard gates, not observations. Latency percentiles cover accepted (verdict-carrying) replies only and include client-side queueing inside the pipelining window, so they are honest end-to-end numbers at full throughput, not unloaded ping times. The overload phase sizes per-connection token-bucket quotas to half of phase 1's measured rps while clients offer full speed (~2x overload): the gate demands typed shedding engaged and the p99 of accepted requests stays bounded — no hangs, no unbounded queueing, no wrong verdicts under pressure.",
   "harness": "cargo run --release -- loadgen --bench-out (in-process server, ephemeral loopback port)",
   "platform": "{}-{}",
   "cpu_count": {cpus},
@@ -1532,7 +1533,7 @@ fn run_events_bench(
     let json = format!(
         r#"{{
   "suite": "events",
-  "note": "event-stream wire protocol (E28), in-process over loopback TCP on one machine ({cpus} core(s) shared by clients, readers and workers — a self-contained single-box number). Clients send lifecycle `event` frames (post/accept/cancel/expire with a slot); verdicts come straight off the resident per-structure delta analyzers, with no canonicalization and no cache probe, and a slice of the population is admitted hot mid-run by `post` frames on unseen structure ids. Verification is three-legged: every verdict is checked against per-client centralised full-re-reduction mirrors after the timed window, order-sensitive FNV verdict-stream hashes are compared per structure, and the server's echoed running hash must match the mirror fold — wrong_verdicts and hash_mismatches are hard gates. The whole-op `mutate` baseline phase and its 3x gate were retired once `mutate` began sharing the event path's resident verdict code.",
+  "note": "event-stream wire protocol (E28), in-process over loopback TCP on one machine ({cpus} core(s) shared by clients, readers and workers — a self-contained single-box number). Clients send lifecycle `event` frames (post/accept/cancel/expire with a slot); verdicts come straight off the resident per-structure delta analyzers, with no canonicalization (the server keeps no analysis cache), and a slice of the population is admitted hot mid-run by `post` frames on unseen structure ids. Verification is three-legged: every verdict is checked against per-client centralised full-re-reduction mirrors after the timed window, order-sensitive FNV verdict-stream hashes are compared per structure, and the server's echoed running hash must match the mirror fold — wrong_verdicts and hash_mismatches are hard gates. The whole-op `mutate` baseline phase and its 3x gate were retired once `mutate` began sharing the event path's resident verdict code.",
   "harness": "cargo run --release -- loadgen --events --bench-out (in-process server, ephemeral loopback port)",
   "platform": "{}-{}",
   "cpu_count": {cpus},
@@ -2089,10 +2090,10 @@ mod tests {
 
     #[test]
     fn sweep_command_streams_and_materializes_identically() {
-        // Materialized and streaming sweeps report the same rate.
+        // Materialized and streaming sweeps report the same rate at every
+        // density of the grid.
         let full = main_with_args(&["sweep".into(), "--samples".into(), "30".into()]).unwrap();
-        assert!(full.contains("30 samples"), "{full}");
-        assert!(full.contains("feasibility rate"), "{full}");
+        assert!(full.contains("30 samples per trust density"), "{full}");
         let streamed = main_with_args(&[
             "sweep".into(),
             "--samples".into(),
@@ -2101,9 +2102,16 @@ mod tests {
             "7".into(),
         ])
         .unwrap();
-        assert!(streamed.contains("5 chunks"), "{streamed}");
+        // Five chunks per density.
+        assert!(streamed.contains("in 25 chunks"), "{streamed}");
         assert!(streamed.contains("at most 7 resident"), "{streamed}");
-        let rate_of = |out: &str| out.lines().next().unwrap().to_owned();
+        let rate_of = |out: &str| -> Vec<String> {
+            out.lines()
+                .filter(|line| line.contains("feasibility rate"))
+                .map(str::to_owned)
+                .collect()
+        };
+        assert_eq!(rate_of(&full).len(), 5, "{full}");
         assert_eq!(rate_of(&full), rate_of(&streamed));
         // --cache-stats composes with sweep.
         let cached = main_with_args(&[

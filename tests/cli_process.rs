@@ -336,3 +336,19 @@ fn largest_fault_delay_runs_and_replays_without_panicking() {
         );
     }
 }
+
+/// `sweep` reports one rate per trust density of E19's grid: none of the
+/// trust-free corpus is feasible, and full trust makes all of it feasible.
+#[test]
+fn sweep_reports_every_trust_density_and_saturates_at_full_trust() {
+    let (ok, stdout, stderr) = trustseq(&["sweep", "--samples", "200"]);
+    assert!(ok, "{stderr}");
+    assert!(
+        stdout.contains("trust density 0.00: feasibility rate 0.0000"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("trust density 1.00: feasibility rate 1.0000"),
+        "{stdout}"
+    );
+}

@@ -5,33 +5,43 @@
 //! verdict check.
 //!
 //! Every test binds its own ephemeral-port server. Servers occupy the
-//! shared worker pool while they run, so tests naturally serialize on it —
-//! each one shuts its server down before returning.
+//! shared worker pool while they run, so tests naturally serialize on it.
+//! Each server is held by a [`Serving`] guard that drains it when dropped,
+//! so a test that fails mid-way still frees the pool for the next one.
 
 use std::io::{Read, Write};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use trustseq_core::{Reducer, SequencingGraph};
 use trustseq_dist::net::{encode_frame, Addr, Conn, FrameDecoder};
-use trustseq_dist::{RejectReason, ServiceOp, ServiceReply, ServiceRequest};
+use trustseq_dist::{RejectReason, ServiceOp, ServiceReply, ServiceRequest, ServiceStats};
 use trustseq_service::{
     market_op, run_loadgen, LoadgenConfig, Server, ServerHandle, ServiceConfig,
 };
 use trustseq_workloads::{fnv_fold, MarketMode, Stall, FNV_OFFSET};
 
+/// A running server. Dropping it, as a failing test does while it
+/// unwinds, begins the server's drain; [`shutdown`] also joins it.
+struct Serving {
+    handle: ServerHandle,
+    thread: Option<JoinHandle<std::io::Result<ServiceStats>>>,
+}
+
+impl Drop for Serving {
+    fn drop(&mut self) {
+        self.handle.shutdown();
+    }
+}
+
 /// Binds and runs a server on an ephemeral loopback port, returning its
-/// address, shutdown handle, and the serving thread to join.
-fn spawn_server(
-    cfg: ServiceConfig,
-) -> (
-    Addr,
-    ServerHandle,
-    std::thread::JoinHandle<std::io::Result<trustseq_dist::ServiceStats>>,
-) {
+/// address and the guard that stops it.
+fn spawn_server(cfg: ServiceConfig) -> (Addr, Serving) {
     let server = Server::bind(cfg).expect("bind ephemeral loopback");
     let addr = server.local_addr();
     let handle = server.handle();
-    let serving = std::thread::spawn(move || server.run());
-    (addr, handle, serving)
+    let thread = Some(std::thread::spawn(move || server.run()));
+    (addr, Serving { handle, thread })
 }
 
 fn connect(addr: &Addr) -> Conn {
@@ -89,17 +99,16 @@ fn closed_by_peer(conn: &mut Conn, deadline: Duration) -> bool {
     false
 }
 
-fn shutdown(
-    handle: ServerHandle,
-    serving: std::thread::JoinHandle<std::io::Result<trustseq_dist::ServiceStats>>,
-) -> trustseq_dist::ServiceStats {
-    handle.shutdown();
-    serving.join().expect("server thread").expect("clean run")
+/// Drains the server and returns its final counters.
+fn shutdown(mut serving: Serving) -> ServiceStats {
+    serving.handle.shutdown();
+    let thread = serving.thread.take().expect("a server is joined once");
+    thread.join().expect("server thread").expect("clean run")
 }
 
 #[test]
 fn end_to_end_million_scale_mix_verifies_against_centralised_replay() {
-    let (addr, handle, serving) = spawn_server(ServiceConfig {
+    let (addr, serving) = spawn_server(ServiceConfig {
         workers: 2,
         structures: 12,
         ..ServiceConfig::default()
@@ -120,14 +129,13 @@ fn end_to_end_million_scale_mix_verifies_against_centralised_replay() {
     assert_eq!(report.hash_mismatches, 0, "verdict-stream hashes agree");
     assert!(report.hash_checked >= 10, "most structures exercised");
     assert!(report.accepted > 25_000, "unquota'd run mostly accepted");
-    let stats = shutdown(handle, serving);
+    let stats = shutdown(serving);
     assert!(stats.accepted >= report.accepted, "server counted the work");
-    assert!(stats.cache_hits > 0, "re-certifications hit the cache");
 }
 
 #[test]
 fn over_quota_bursts_get_typed_rejections_and_the_connection_survives() {
-    let (addr, handle, serving) = spawn_server(ServiceConfig {
+    let (addr, serving) = spawn_server(ServiceConfig {
         structures: 4,
         quota_rate: 20.0,
         quota_burst: 10.0,
@@ -166,12 +174,12 @@ fn over_quota_bursts_get_typed_rejections_and_the_connection_survives() {
         matches!(after.as_slice(), [ServiceReply::Verdict { seq: 999, .. }]),
         "{after:?}"
     );
-    shutdown(handle, serving);
+    shutdown(serving);
 }
 
 #[test]
 fn slow_loris_partial_frame_is_dropped_and_others_are_served() {
-    let (addr, handle, serving) = spawn_server(ServiceConfig {
+    let (addr, serving) = spawn_server(ServiceConfig {
         structures: 2,
         idle_timeout: Duration::from_millis(200),
         ..ServiceConfig::default()
@@ -205,12 +213,12 @@ fn slow_loris_partial_frame_is_dropped_and_others_are_served() {
         replies.as_slice(),
         [ServiceReply::Verdict { seq: 2, .. }]
     ));
-    shutdown(handle, serving);
+    shutdown(serving);
 }
 
 #[test]
 fn disconnect_mid_request_leaves_the_server_healthy() {
-    let (addr, handle, serving) = spawn_server(ServiceConfig {
+    let (addr, serving) = spawn_server(ServiceConfig {
         structures: 2,
         ..ServiceConfig::default()
     });
@@ -251,12 +259,12 @@ fn disconnect_mid_request_leaves_the_server_healthy() {
         std::thread::sleep(Duration::from_millis(50));
     }
     assert_eq!(conns, 1, "ghost connection cleaned up");
-    shutdown(handle, serving);
+    shutdown(serving);
 }
 
 #[test]
 fn oversized_announcement_drops_the_connection_without_buffering() {
-    let (addr, handle, serving) = spawn_server(ServiceConfig {
+    let (addr, serving) = spawn_server(ServiceConfig {
         structures: 2,
         max_frame: 1024,
         ..ServiceConfig::default()
@@ -286,12 +294,12 @@ fn oversized_announcement_drops_the_connection_without_buffering() {
         replies.as_slice(),
         [ServiceReply::Verdict { seq: 3, .. }]
     ));
-    shutdown(handle, serving);
+    shutdown(serving);
 }
 
 #[test]
 fn queue_backpressure_sheds_with_typed_overloaded_rejections() {
-    let (addr, handle, serving) = spawn_server(ServiceConfig {
+    let (addr, serving) = spawn_server(ServiceConfig {
         workers: 1,
         structures: 2,
         queue_capacity: 2,
@@ -325,12 +333,12 @@ fn queue_backpressure_sheds_with_typed_overloaded_rejections() {
         "a 20-deep burst into 2 slots at 30ms/request must shed"
     );
     assert!(verdicts > 0, "queued requests are still served");
-    shutdown(handle, serving);
+    shutdown(serving);
 }
 
 #[test]
 fn semantic_errors_get_typed_rejections_not_disconnects() {
-    let (addr, handle, serving) = spawn_server(ServiceConfig {
+    let (addr, serving) = spawn_server(ServiceConfig {
         structures: 2,
         ..ServiceConfig::default()
     });
@@ -377,12 +385,12 @@ fn semantic_errors_get_typed_rejections_not_disconnects() {
         }
     ));
     assert!(matches!(replies[3], ServiceReply::Verdict { seq: 4, .. }));
-    shutdown(handle, serving);
+    shutdown(serving);
 }
 
 #[test]
 fn graceful_drain_answers_inflight_then_sheds_with_draining() {
-    let (addr, handle, serving) = spawn_server(ServiceConfig {
+    let (addr, serving) = spawn_server(ServiceConfig {
         workers: 1,
         structures: 2,
         queue_capacity: 64,
@@ -402,7 +410,7 @@ fn graceful_drain_answers_inflight_then_sheds_with_draining() {
     }
     // Give the reader a beat to enqueue, then pull the plug mid-flight.
     std::thread::sleep(Duration::from_millis(30));
-    handle.shutdown();
+    serving.handle.shutdown();
     let replies = collect(&mut conn, 10, Duration::from_secs(20));
     assert_eq!(replies.len(), 10, "drain answers everything admitted");
     let verdicts = replies
@@ -413,7 +421,7 @@ fn graceful_drain_answers_inflight_then_sheds_with_draining() {
 
     // run() actually returns (drain terminates) and late requests — if the
     // socket is even still open — never hang the client.
-    let stats = serving.join().expect("server thread").expect("clean run");
+    let stats = shutdown(serving);
     assert_eq!(stats.queue_depth, 0, "drained queue is empty");
 }
 
@@ -421,7 +429,7 @@ fn graceful_drain_answers_inflight_then_sheds_with_draining() {
 fn concurrent_mutate_and_analyze_streams_stay_consistent() {
     // Four clients × disjoint structure sets, mutation-heavy, all verified
     // against per-client centralised replays — the interleaving test.
-    let (addr, handle, serving) = spawn_server(ServiceConfig {
+    let (addr, serving) = spawn_server(ServiceConfig {
         workers: 2,
         structures: 8,
         ..ServiceConfig::default()
@@ -439,7 +447,7 @@ fn concurrent_mutate_and_analyze_streams_stay_consistent() {
     assert_eq!(report.replies, report.sent);
     assert_eq!(report.wrong, 0);
     assert_eq!(report.hash_mismatches, 0);
-    let stats = shutdown(handle, serving);
+    let stats = shutdown(serving);
     assert!(stats.accepted >= report.accepted, "server counted the work");
     assert_eq!(stats.connections, 0, "all client connections closed");
 }
@@ -451,7 +459,7 @@ fn event_verdicts_come_off_the_resident_analyzer_with_a_running_hash() {
         ..ServiceConfig::default()
     };
     let (seed, base) = (cfg.seed, cfg.base.clone());
-    let (addr, handle, serving) = spawn_server(cfg);
+    let (addr, serving) = spawn_server(cfg);
 
     // Mirror structure 0 under the boot generation law, pick ops that are
     // in range for its trust-pair / deal families, and fold the expected
@@ -507,12 +515,12 @@ fn event_verdicts_come_off_the_resident_analyzer_with_a_running_hash() {
             other => panic!("expected one everdict, got {other:?}"),
         }
     }
-    shutdown(handle, serving);
+    shutdown(serving);
 }
 
 #[test]
 fn out_of_range_event_slot_is_typed_malformed_and_the_connection_survives() {
-    let (addr, handle, serving) = spawn_server(ServiceConfig {
+    let (addr, serving) = spawn_server(ServiceConfig {
         structures: 2,
         max_structures: 4,
         ..ServiceConfig::default()
@@ -576,7 +584,7 @@ fn out_of_range_event_slot_is_typed_malformed_and_the_connection_survives() {
         matches!(replies[3], ServiceReply::Verdict { seq: 4, .. }),
         "the connection keeps serving after typed event rejections"
     );
-    shutdown(handle, serving);
+    shutdown(serving);
 }
 
 #[test]
@@ -587,7 +595,7 @@ fn event_post_on_an_unknown_structure_admits_it_while_serving() {
         ..ServiceConfig::default()
     };
     let (seed, base) = (cfg.seed, cfg.base.clone());
-    let (addr, handle, serving) = spawn_server(cfg);
+    let (addr, serving) = spawn_server(cfg);
     let mut conn = connect(&addr);
 
     // Before admission the structure is unknown to `analyze`.
@@ -636,12 +644,12 @@ fn event_post_on_an_unknown_structure_admits_it_while_serving() {
     let after = collect(&mut conn, 2, Duration::from_secs(5));
     assert!(matches!(after[0], ServiceReply::Verdict { seq: 3, .. }));
     assert!(matches!(after[1], ServiceReply::Verdict { seq: 4, .. }));
-    shutdown(handle, serving);
+    shutdown(serving);
 }
 
 #[test]
 fn event_stream_loadgen_with_hot_growth_verifies_three_ways() {
-    let (addr, handle, serving) = spawn_server(ServiceConfig {
+    let (addr, serving) = spawn_server(ServiceConfig {
         workers: 2,
         structures: 8,
         max_structures: 64,
@@ -668,30 +676,45 @@ fn event_stream_loadgen_with_hot_growth_verifies_three_ways() {
         "all 8 boot + 4 grown structures verified, got {}",
         report.hash_checked
     );
-    let stats = shutdown(handle, serving);
+    let stats = shutdown(serving);
     assert!(stats.accepted >= report.accepted, "server counted the work");
 }
 
-/// The server's analysis-cache lookups so far (`hits + misses`), read
-/// through a `stats` round trip.
-fn cache_lookups(conn: &mut Conn, seq: u64) -> u64 {
-    send(conn, &ServiceRequest::Stats { seq });
-    match collect(conn, 1, Duration::from_secs(5)).as_slice() {
-        [ServiceReply::Stats { stats, .. }] => stats.cache_hits + stats.cache_misses,
-        other => panic!("expected one stats reply, got {other:?}"),
+/// `(feasible, remaining, red)` for `source` by the naive reducer, the
+/// oracle every served verdict is held to.
+fn naive_verdict(source: &str) -> (bool, u32, u32) {
+    let spec = trustseq_lang::parse_spec(source).expect("the spec parses");
+    let graph = SequencingGraph::from_spec(&spec).expect("the graph builds");
+    let outcome = Reducer::new(graph.clone()).run_naive();
+    (
+        outcome.feasible,
+        outcome.remaining_edges.len() as u32,
+        outcome.remaining_red(&graph) as u32,
+    )
+}
+
+/// The `(feasible, remaining, red)` of a lone `verdict` reply to `seq`.
+fn verdict_of(replies: &[ServiceReply], seq: u64) -> (bool, u32, u32) {
+    match replies {
+        [ServiceReply::Verdict {
+            seq: s,
+            feasible,
+            remaining,
+            remaining_red,
+        }] if *s == seq => (*feasible, *remaining, *remaining_red),
+        other => panic!("expected one verdict for seq {seq}, got {other:?}"),
     }
 }
 
 #[test]
-fn resident_requests_never_touch_the_cache() {
+fn resident_and_spec_verdicts_match_the_naive_reducer() {
     let cfg = ServiceConfig {
         structures: 4,
         ..ServiceConfig::default()
     };
     let (seed, base) = (cfg.seed, cfg.base.clone());
-    let (addr, handle, serving) = spawn_server(cfg);
+    let (addr, serving) = spawn_server(cfg);
     let mut conn = connect(&addr);
-    let before = cache_lookups(&mut conn, 1_000);
 
     // Every structure gets analyze, mutate and event frames; each verdict
     // is checked against a full-re-reduction mirror, `red` included. An op
@@ -755,35 +778,100 @@ fn resident_requests_never_touch_the_cache() {
         }
     }
     assert!(seq > 4, "the run mutated at least one structure");
-    assert_eq!(
-        cache_lookups(&mut conn, 1_001),
-        before,
-        "resident requests never probe the analysis cache"
-    );
 
+    // Inline specs: Example #1 reduces away; Example #2's impasse leaves
+    // edges, red ones among them.
+    for (seq, source) in [
+        (2_000, include_str!("../specs/example1.tseq")),
+        (2_001, include_str!("../specs/example2.tseq")),
+    ] {
+        send(
+            &mut conn,
+            &ServiceRequest::AnalyzeSpec {
+                seq,
+                spec: source.to_string(),
+            },
+        );
+        let got = verdict_of(&collect(&mut conn, 1, Duration::from_secs(5)), seq);
+        assert_eq!(got, naive_verdict(source), "seq {seq}");
+    }
+    let (feasible, remaining, red) = naive_verdict(include_str!("../specs/example2.tseq"));
+    assert!(
+        !feasible && remaining > 0 && red > 0,
+        "example 2 is an impasse"
+    );
+    shutdown(serving);
+}
+
+/// The widest inline spec a client can send costs its shard one direct
+/// reduction, not seconds: a resident `analyze` queued behind it on the
+/// same shard is answered promptly.
+#[test]
+fn a_spec_at_the_frame_cap_does_not_stall_its_shard() {
+    const BOUND: Duration = Duration::from_millis(250);
+    let cfg = ServiceConfig {
+        workers: 2,
+        ..ServiceConfig::default()
+    };
+    // The widest `n`-document bundle whose `analyzespec` frame fits.
+    let fits = |n: usize| {
+        let source = trustseq_lang::print(&trustseq_workloads::bundle_arithmetic(n).0);
+        let frame = ServiceRequest::AnalyzeSpec {
+            seq: 1,
+            spec: source.clone(),
+        }
+        .to_wire();
+        (frame.len() <= cfg.max_frame).then_some(source)
+    };
+    let (n, spec) = (1..)
+        .map_while(|n| fits(n).map(|spec| (n, spec)))
+        .last()
+        .expect("a one-document bundle fits");
+    assert!(fits(n + 1).is_none());
+    let expected = naive_verdict(&spec);
+
+    let (addr, serving) = spawn_server(cfg);
+    let mut spec_conn = connect(&addr);
+    let mut resident_conn = connect(&addr);
+    // The pool may still be serving another test's server: one answered
+    // round trip shows this one is running before anything is timed.
     send(
-        &mut conn,
+        &mut resident_conn,
+        &ServiceRequest::Analyze { seq: 0, id: 0 },
+    );
+    let warm = collect(&mut resident_conn, 1, Duration::from_secs(60));
+    assert_eq!(warm.len(), 1, "the server answers the warm-up");
+
+    // Same shard: the spec routes on its seq, the analyze on its id. The
+    // pause lets the spec's reader take in its 64 KiB and enqueue it, so
+    // the analyze queues behind it rather than overtaking it.
+    let start = Instant::now();
+    send(
+        &mut spec_conn,
         &ServiceRequest::AnalyzeSpec {
-            seq: 2_000,
-            spec: include_str!("../specs/example1.tseq").to_string(),
+            seq: 1,
+            spec: spec.clone(),
         },
     );
-    let spec_reply = collect(&mut conn, 1, Duration::from_secs(5));
+    std::thread::sleep(Duration::from_millis(1));
+    send(
+        &mut resident_conn,
+        &ServiceRequest::Analyze { seq: 1, id: 1 },
+    );
+    let resident = collect(&mut resident_conn, 1, Duration::from_secs(30));
+    let resident_at = start.elapsed();
+    let spec_reply = collect(&mut spec_conn, 1, Duration::from_secs(30));
+    let spec_at = start.elapsed();
     assert!(
-        matches!(
-            spec_reply.as_slice(),
-            [ServiceReply::Verdict {
-                seq: 2_000,
-                feasible: true,
-                ..
-            }]
-        ),
-        "{spec_reply:?}"
+        matches!(resident.as_slice(), [ServiceReply::Verdict { seq: 1, .. }]),
+        "{resident:?}"
     );
-    assert_eq!(
-        cache_lookups(&mut conn, 1_002),
-        before + 1,
-        "one analyzespec is one cache lookup"
+    assert_eq!(verdict_of(&spec_reply, 1), expected, "{n}-document bundle");
+    assert!(
+        resident_at <= BOUND && spec_at <= BOUND,
+        "a {}-byte spec ({n} documents) held its shard: the same-shard analyze \
+         answered after {resident_at:?}, the spec after {spec_at:?}",
+        spec.len()
     );
-    shutdown(handle, serving);
+    shutdown(serving);
 }
