@@ -11,9 +11,9 @@
 //!
 //! Frame shapes (mirroring the [`FaultPlan`] text codec):
 //!
-//! * `data;seq=5;from=a3;edge=e2` — a removal announcement under a
-//!   sequence number;
-//! * `ack;seq=5` — its acknowledgement;
+//! * `data;seq=5;from=a3;edge=e2` — a removal announcement under its
+//!   sender's sequence number;
+//! * `ack;seq=5` — its acknowledgement, sent back to that sender;
 //! * `syncreq;from=a3` — a restarted node asking a neighbour for its
 //!   dead-edge view;
 //! * `syncresp;from=a3;dead=e1,e4` — the neighbour's answer (`dead=` may
@@ -124,12 +124,14 @@ impl NodeStatus {
 pub enum Packet {
     /// A reliable removal announcement.
     Data {
-        /// Sender-side sequence number (index into the announcement log).
+        /// The sender's sequence number: the announcement's index in its
+        /// sender's outbox. Receivers drop repeats by `(sender, seq)`.
         seq: u64,
         /// The announced removal.
         msg: Message,
     },
-    /// Acknowledges the `Data` packet with the same sequence number.
+    /// Acknowledges the `Data` packet with the same sequence number; it
+    /// goes back to that packet's sender, in whose numbering `seq` is.
     Ack {
         /// The acknowledged sequence number.
         seq: u64,

@@ -9,10 +9,11 @@
 //! is threaded through the protocol itself.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::str::FromStr;
-use trustseq_model::AgentId;
+use trustseq_core::CoreError;
+use trustseq_model::{AgentId, ModelError};
 
 /// A scheduled crash of one participant.
 ///
@@ -272,7 +273,54 @@ impl FaultPlan {
             .copied()
             .chain(self.partitions.iter().flat_map(|p| [p.a, p.b]))
     }
+
+    /// The check every runtime makes before it starts: the plan names only
+    /// `participants`, and schedules no crash unless the runtime
+    /// `simulates_crashes` (a socket run crashes a node by killing it).
+    ///
+    /// # Errors
+    ///
+    /// The first agent named that is not a participant, else the first
+    /// crash the runtime cannot honour.
+    pub fn check(
+        &self,
+        participants: &BTreeSet<AgentId>,
+        simulates_crashes: bool,
+    ) -> Result<(), PlanError> {
+        match self.named_agents().find(|a| !participants.contains(a)) {
+            Some(agent) => Err(PlanError::UnknownAgent(agent)),
+            None => match self.crashes.keys().next() {
+                Some(&agent) if !simulates_crashes => Err(PlanError::CrashNotSimulated(agent)),
+                _ => Ok(()),
+            },
+        }
+    }
 }
+
+/// Why a runtime refuses a fault plan ([`FaultPlan::check`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PlanError {
+    /// The plan names an agent that runs no node.
+    UnknownAgent(AgentId),
+    /// The plan crashes this agent on a runtime that simulates no crash.
+    CrashNotSimulated(AgentId),
+}
+
+impl fmt::Display for PlanError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            // Word for word what the in-process runtime's `CoreError` says.
+            PlanError::UnknownAgent(a) => CoreError::Model(ModelError::UnknownAgent(*a)).fmt(f),
+            PlanError::CrashNotSimulated(a) => write!(
+                f,
+                "the fault plan's `crash=` schedule for {a} is honoured only by `dist`; \
+                 a socket run crashes a node by killing its process (see `chaos-sockets`)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for PlanError {}
 
 impl Default for FaultPlan {
     fn default() -> Self {
@@ -610,6 +658,27 @@ mod tests {
             );
             assert!(format!("seed=1;{key}=5000").parse::<FaultPlan>().is_err());
         }
+    }
+
+    #[test]
+    fn check_refuses_strangers_and_unsimulated_crashes() {
+        let participants: BTreeSet<AgentId> = [AgentId::new(0), AgentId::new(1)].into();
+        let crash: FaultPlan = "seed=1;crash=a1@2..5".parse().unwrap();
+        assert_eq!(crash.check(&participants, true), Ok(()));
+        assert_eq!(
+            crash.check(&participants, false),
+            Err(PlanError::CrashNotSimulated(AgentId::new(1)))
+        );
+        // A stranger is reported first, whatever the runtime.
+        let stranger: FaultPlan = "seed=1;crash=a1@2..;cut=a0~a7@1..".parse().unwrap();
+        for simulates_crashes in [true, false] {
+            let err = stranger
+                .check(&participants, simulates_crashes)
+                .unwrap_err();
+            assert_eq!(err, PlanError::UnknownAgent(AgentId::new(7)));
+            assert_eq!(err.to_string(), "model error: unknown agent a7");
+        }
+        assert_eq!(FaultPlan::none().check(&BTreeSet::new(), false), Ok(()));
     }
 
     #[test]

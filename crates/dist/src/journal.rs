@@ -100,7 +100,7 @@ pub enum JournalEvent {
         round: usize,
         /// The receiving node.
         node: AgentId,
-        /// The duplicate's sequence number.
+        /// The duplicate's sequence number, in its sender's numbering.
         seq: u64,
     },
     /// A frame arrived corrupted and was rejected by the codec.

@@ -26,8 +26,11 @@
 //! [`DistributedReduction::run_resilient`], over a
 //! [`FaultyTransport`] driven by a seeded [`FaultPlan`].
 //! [`DistributedReduction::run`] is that loop under the fault-free plan.
-//! The socket engine ([`supervise`]) runs the same protocol across OS
-//! processes.
+//! The socket engine ([`supervise`]) runs it across OS processes. Both
+//! runtimes step the same per-participant reliability layer, a sans-IO
+//! state machine that turns packets and the caller's clock into packets
+//! to send; each runtime keeps only its own network, clock and
+//! termination test.
 //!
 //! # Example
 //!
@@ -53,6 +56,7 @@ pub mod faults;
 pub mod journal;
 pub mod net;
 mod node;
+mod peer;
 mod resilient;
 pub mod supervise;
 pub mod transport;
@@ -62,7 +66,7 @@ pub use codec::{
     ServiceStats,
 };
 pub use engine::{DistOutcome, DistRemoval, DistributedReduction};
-pub use faults::{Crash, FaultPlan, FaultPlanParseError, Partition};
+pub use faults::{Crash, FaultPlan, FaultPlanParseError, Partition, PlanError};
 pub use journal::{Journal, JournalError, JournalEvent, NoopObserver, RunObserver};
 pub use net::{encode_frame, Addr, FrameDecoder, FrameError, NetParseError, NetworkDescription};
 pub use node::{Message, Node};

@@ -1,13 +1,18 @@
-//! The distributed engine's round loop: acknowledgement and
-//! retransmission, crash recovery, and graceful degradation.
+//! The distributed engine's in-process round loop: crash schedules,
+//! graceful degradation and the omniscient termination test.
 //!
 //! [`DistributedReduction::run_resilient`] is the engine's only in-process
 //! round loop. It runs over a [`FaultyTransport`] that drops, duplicates,
 //! delays and partitions traffic according to a seeded [`FaultPlan`];
 //! [`run`](DistributedReduction::run) is the same loop under
-//! [`FaultPlan::none`]. The protocol is hardened so that faults can only
-//! *delay* the reduction or force an explicit [`DistVerdict::Undecided`]
-//! — never a wrong `feasible`/`infeasible`:
+//! [`FaultPlan::none`]. Each participant's reliability layer — outbox,
+//! acknowledgements, backoff, dedup, re-sync and relays — is a sans-IO
+//! `Peer` (`peer.rs`), the same one the socket node steps
+//! ([`run_node`](crate::supervise::run_node)); the loop supplies the
+//! rounds, the network and the crashes, and keeps the accounting. The
+//! protocol is hardened so that faults can only *delay* the reduction or
+//! force an explicit [`DistVerdict::Undecided`] — never a wrong
+//! `feasible`/`infeasible`:
 //!
 //! * every removal announcement is acknowledged; unacknowledged
 //!   announcements are retransmitted with bounded exponential backoff and
@@ -36,9 +41,10 @@
 
 use crate::codec::Packet;
 use crate::engine::{DistOutcome, DistRemoval, DistributedReduction};
-use crate::faults::FaultPlan;
+use crate::faults::{FaultPlan, PlanError};
 use crate::journal::{JournalEvent, NoopObserver, RunObserver};
-use crate::node::{LocalRemoval, Message};
+use crate::node::LocalRemoval;
+use crate::peer::{Backoff, Outgoing, Peer, Received};
 use crate::transport::{FaultyTransport, TransportStats};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -316,23 +322,6 @@ fn send_frame(
     transport.send(round, from, to, frame);
 }
 
-/// Sender-side state of one reliable announcement. Survives its sender's
-/// crash (write-ahead log): retransmission is suspended while the sender
-/// is down and resumes after restart.
-#[derive(Debug)]
-struct Pending {
-    from: AgentId,
-    to: AgentId,
-    msg: Message,
-    attempts: usize,
-    next_retry: usize,
-    acked: bool,
-    /// Omniscient-simulator flag: the addressee has processed the payload
-    /// (set even when the acknowledgement is lost). Drives termination.
-    delivered: bool,
-    abandoned: bool,
-}
-
 impl DistributedReduction {
     /// Runs the protocol over a faulty network described by `plan`,
     /// hardened per `config`.
@@ -361,37 +350,41 @@ impl DistributedReduction {
     /// Rejects a plan that names an agent with no node in this reduction
     /// (`CoreError::Model(ModelError::UnknownAgent)`).
     pub fn run_resilient_observed(
-        mut self,
+        self,
         plan: &FaultPlan,
         config: &ResilientConfig,
         observer: &mut dyn RunObserver,
     ) -> Result<ResilientOutcome, CoreError> {
-        for agent in plan.named_agents() {
-            if !self.nodes.contains_key(&agent) {
-                return Err(CoreError::Model(ModelError::UnknownAgent(agent)));
-            }
+        // The round loop simulates crash schedules, so an unknown agent is
+        // the only plan it refuses.
+        if let Err(PlanError::UnknownAgent(agent)) =
+            plan.check(&self.participants().collect(), true)
+        {
+            return Err(CoreError::Model(ModelError::UnknownAgent(agent)));
         }
 
         // Neighbours = participants sharing a visible edge; they are the
         // parties a restarted node can recover its liveness view from.
-        let mut seers: BTreeMap<EdgeId, Vec<AgentId>> = BTreeMap::new();
-        for (agent, node) in &self.nodes {
-            for edge in node.visible_edge_ids() {
-                seers.entry(edge).or_default().push(*agent);
-            }
-        }
-        let mut neighbours: BTreeMap<AgentId, BTreeSet<AgentId>> = BTreeMap::new();
-        for agents in seers.values() {
-            for &a in agents {
-                for &b in agents {
-                    if a != b {
-                        neighbours.entry(a).or_default().insert(b);
-                    }
-                }
-            }
-        }
-
-        let initial_nodes = self.nodes.clone();
+        let neighbours = |agent: AgentId| -> BTreeSet<AgentId> {
+            let seen: BTreeSet<EdgeId> = self.nodes[&agent].visible_edge_ids().collect();
+            self.nodes
+                .iter()
+                .filter(|(b, node)| {
+                    **b != agent && node.visible_edge_ids().any(|e| seen.contains(&e))
+                })
+                .map(|(b, _)| *b)
+                .collect()
+        };
+        let backoff = Backoff {
+            ack: config.ack_timeout.max(1) as u64,
+            cap: config.max_backoff.max(1) as u64,
+            max_attempts: config.max_attempts.max(1),
+        };
+        let mut peers: BTreeMap<AgentId, Peer> = self
+            .nodes
+            .iter()
+            .map(|(agent, node)| (*agent, Peer::new(node.clone(), backoff)))
+            .collect();
         // Traffic crosses the network as wire frames, not structs: the
         // corruption fault class needs real bytes to mangle, and the codec
         // turns a mangled frame into a typed decode failure at delivery.
@@ -400,11 +393,14 @@ impl DistributedReduction {
         // installed the whole run is one virtual-clock span.
         let clock = obs::VirtualClock::new();
         let run_span = obs::enabled().then(|| obs::Span::virtual_at(&clock));
-        let mut pendings: Vec<Pending> = Vec::new();
-        let mut seen: BTreeMap<AgentId, BTreeSet<u64>> = BTreeMap::new();
-        let mut subscribers: BTreeMap<AgentId, BTreeSet<AgentId>> = BTreeMap::new();
-        // (requester, neighbour) -> (attempts, next retry round)
-        let mut syncs: BTreeMap<(AgentId, AgentId), (usize, usize)> = BTreeMap::new();
+        // The first transmission of every announcement not yet settled, in
+        // creation order, as (sender, seq, delivered). Retransmissions walk
+        // it in this order, because each fault decision is keyed on the
+        // transmission id and so on the order of sends. `delivered` is the
+        // omniscient simulator's flag that the addressee processed it (even
+        // when the acknowledgement was lost); it drives termination.
+        let mut first_sends: Vec<(AgentId, u64, bool)> = Vec::new();
+        let mut out: Vec<Outgoing> = Vec::new();
 
         let mut removed: BTreeSet<EdgeId> = BTreeSet::new();
         let mut removals: Vec<DistRemoval> = Vec::new();
@@ -418,14 +414,6 @@ impl DistributedReduction {
         let mut decode_failures = 0usize;
         let mut rounds = 0usize;
 
-        let ack_timeout = config.ack_timeout.max(1);
-        let max_attempts = config.max_attempts.max(1);
-        let backoff = |attempts: usize| -> usize {
-            let exp = attempts.saturating_sub(1).min(20) as u32;
-            ack_timeout
-                .saturating_mul(1usize << exp)
-                .min(config.max_backoff.max(1))
-        };
         // A sender that is down and never restarts will never retransmit;
         // its undelivered announcements are as good as abandoned.
         let sender_gone = |from: AgentId, round: usize| {
@@ -438,39 +426,26 @@ impl DistributedReduction {
                 rounds -= 1;
                 break Some(UndecidedReason::RoundLimit);
             }
+            let now = rounds as u64;
 
             // 1. Restarts: amnesia reset, then a sync handshake with every
             //    neighbour to win the dead-edge view back.
-            let restarting: Vec<AgentId> = self
-                .nodes
-                .keys()
-                .copied()
-                .filter(|a| plan.restart_round(*a) == Some(rounds))
-                .collect();
-            for agent in restarting {
-                if let Some(init) = initial_nodes.get(&agent) {
-                    self.nodes.insert(agent, init.clone());
+            for (&agent, peer) in &mut peers {
+                if plan.restart_round(agent) != Some(rounds) {
+                    continue;
                 }
-                seen.remove(&agent);
                 observer.record(JournalEvent::Restart {
                     round: rounds,
                     node: agent,
                 });
-                for nb in neighbours.get(&agent).into_iter().flatten() {
-                    send_frame(
-                        &mut transport,
-                        plan,
-                        rounds,
-                        agent,
-                        *nb,
-                        &Packet::SyncReq { from: agent },
-                    );
+                peer.restart(self.nodes[&agent].clone(), neighbours(agent), now, &mut out);
+                for (to, packet) in out.drain(..) {
+                    send_frame(&mut transport, plan, rounds, agent, to, &packet);
                     sync_requests += 1;
-                    syncs.insert((agent, *nb), (1, rounds + ack_timeout));
                     observer.record(JournalEvent::SyncReq {
                         round: rounds,
                         from: agent,
-                        to: *nb,
+                        to,
                     });
                 }
             }
@@ -492,7 +467,7 @@ impl DistributedReduction {
             //    packets addressed to down nodes; a frame the corruption
             //    stream mangled dies here as a typed decode failure and is
             //    absorbed by the retransmission machinery like a drop.
-            for (to, frame) in transport.deliver(rounds) {
+            for (from, to, frame) in transport.deliver(rounds) {
                 let packet = match Packet::from_wire(&frame) {
                     Ok(packet) => packet,
                     Err(_) => {
@@ -504,10 +479,15 @@ impl DistributedReduction {
                         continue;
                     }
                 };
-                match packet {
-                    Packet::Data { seq, msg } => {
-                        let first_sight = seen.entry(to).or_default().insert(seq);
-                        if !first_sight {
+                let peer = peers.get_mut(&to).expect("only participants receive");
+                match peer.receive(from, packet, now, &mut out) {
+                    Received::Announcement { seq, fresh } => {
+                        if let Some(sent) =
+                            first_sends.iter_mut().find(|s| (s.0, s.1) == (from, seq))
+                        {
+                            sent.2 = true;
+                        }
+                        if !fresh {
                             dedup_drops += 1;
                             observer.record(JournalEvent::DedupDrop {
                                 round: rounds,
@@ -515,172 +495,75 @@ impl DistributedReduction {
                                 seq,
                             });
                         }
-                        if first_sight {
-                            if let Some(node) = self.nodes.get_mut(&to) {
-                                node.observe(msg);
-                            }
-                            // Relay to standing sync subscribers: they may
-                            // have acknowledged this removal before their
-                            // crash, so nobody else will resend it.
-                            let subs: Vec<AgentId> = subscribers
-                                .get(&to)
-                                .into_iter()
-                                .flatten()
-                                .copied()
-                                .filter(|s| *s != msg.from)
-                                .collect();
-                            for sub in subs {
-                                let relay = Message {
-                                    from: to,
-                                    edge: msg.edge,
-                                };
-                                let seq2 = pendings.len() as u64;
-                                pendings.push(Pending {
-                                    from: to,
-                                    to: sub,
-                                    msg: relay,
-                                    attempts: 1,
-                                    next_retry: rounds + ack_timeout,
-                                    acked: false,
-                                    delivered: false,
-                                    abandoned: false,
-                                });
-                                send_frame(
-                                    &mut transport,
-                                    plan,
-                                    rounds,
-                                    to,
-                                    sub,
-                                    &Packet::Data {
-                                        seq: seq2,
-                                        msg: relay,
-                                    },
-                                );
-                                relays += 1;
-                            }
-                        }
-                        // Always (re-)acknowledge, even duplicates: the
-                        // previous ack may have been lost.
-                        if let Some(p) = pendings.get_mut(seq as usize) {
-                            p.delivered = true;
-                            let ack_to = p.from;
-                            send_frame(
-                                &mut transport,
-                                plan,
-                                rounds,
-                                to,
-                                ack_to,
-                                &Packet::Ack { seq },
-                            );
-                            acks += 1;
-                        }
                     }
-                    Packet::Ack { seq } => {
-                        if let Some(p) = pendings.get_mut(seq as usize) {
-                            p.acked = true;
-                            p.delivered = true;
-                        }
-                    }
-                    Packet::SyncReq { from } => {
-                        subscribers.entry(to).or_default().insert(from);
-                        let dead = self
-                            .nodes
-                            .get(&to)
-                            .map(|n| n.dead_edges())
-                            .unwrap_or_default();
-                        send_frame(
-                            &mut transport,
-                            plan,
-                            rounds,
-                            to,
-                            from,
-                            &Packet::SyncResp { from: to, dead },
-                        );
-                        sync_responses += 1;
-                    }
-                    Packet::SyncResp { from, dead } => {
+                    Received::Synced { from, dead } => {
                         observer.record(JournalEvent::SyncResp {
                             round: rounds,
                             from,
                             to,
-                            dead: dead.len(),
+                            dead,
                         });
-                        if let Some(node) = self.nodes.get_mut(&to) {
-                            for edge in dead {
-                                node.observe(Message { from, edge });
-                            }
-                        }
-                        syncs.remove(&(to, from));
                     }
                     // Socket control-plane frames (hello/ping/status/…) never
                     // travel over the in-process transport; treat a stray one
                     // like any other mangled frame — absorb, never misdecide.
-                    _ => decode_failures += 1,
+                    Received::Ignored => decode_failures += 1,
+                    Received::Acked(_) | Received::Handled => {}
+                }
+                // Relays first, then the acknowledgement or sync response.
+                for (dest, packet) in out.drain(..) {
+                    match packet {
+                        Packet::Data { seq, .. } => {
+                            relays += 1;
+                            first_sends.push((to, seq, false));
+                        }
+                        Packet::Ack { .. } => acks += 1,
+                        _ => sync_responses += 1,
+                    }
+                    send_frame(&mut transport, plan, rounds, to, dest, &packet);
                 }
             }
 
-            // 3. Retransmit overdue unacknowledged announcements (skipping
-            //    down senders — their log resumes on restart).
-            for (i, p) in pendings.iter_mut().enumerate() {
-                if p.acked || p.abandoned || plan.is_down(p.from, rounds) || rounds < p.next_retry {
-                    continue;
+            // 3. Retransmit overdue unacknowledged announcements in creation
+            //    order (skipping down senders — their log resumes on
+            //    restart). An abandoned announcement, or an acknowledged
+            //    one its addressee processed, can neither go out again nor
+            //    still arrive, so it leaves the log.
+            first_sends.retain(|&(from, seq, delivered)| {
+                let peer = peers.get_mut(&from).expect("only participants send");
+                if !plan.is_down(from, rounds) {
+                    if let Some((to, packet)) = peer.retry(seq, now) {
+                        send_frame(&mut transport, plan, rounds, from, to, &packet);
+                        retransmissions += 1;
+                        let entry = peer.announcement(seq);
+                        observer.record(JournalEvent::Retransmit {
+                            round: rounds,
+                            from,
+                            to,
+                            edge: entry.msg.edge,
+                            attempt: entry.retry.attempts,
+                        });
+                    }
                 }
-                if p.attempts >= max_attempts {
-                    p.abandoned = true;
-                } else {
-                    send_frame(
-                        &mut transport,
-                        plan,
-                        rounds,
-                        p.from,
-                        p.to,
-                        &Packet::Data {
-                            seq: i as u64,
-                            msg: p.msg,
-                        },
-                    );
-                    p.attempts += 1;
-                    p.next_retry = rounds + backoff(p.attempts);
-                    retransmissions += 1;
-                    observer.record(JournalEvent::Retransmit {
-                        round: rounds,
-                        from: p.from,
-                        to: p.to,
-                        edge: p.msg.edge,
-                        attempt: p.attempts,
-                    });
-                }
-            }
+                let entry = peer.announcement(seq);
+                !(entry.abandoned || (entry.acked && delivered))
+            });
 
             // 4. Retry unanswered sync requests on the same backoff.
-            let mut abandoned_syncs = Vec::new();
-            for ((requester, nb), (attempts, next_retry)) in syncs.iter_mut() {
-                if plan.is_down(*requester, rounds) || rounds < *next_retry {
+            for (&agent, peer) in &mut peers {
+                if !peer.syncing() || plan.is_down(agent, rounds) {
                     continue;
                 }
-                if *attempts >= max_attempts {
-                    abandoned_syncs.push((*requester, *nb));
-                } else {
-                    send_frame(
-                        &mut transport,
-                        plan,
-                        rounds,
-                        *requester,
-                        *nb,
-                        &Packet::SyncReq { from: *requester },
-                    );
-                    *attempts += 1;
-                    *next_retry = rounds + backoff(*attempts);
+                peer.retry_syncs(now, &mut out);
+                for (to, packet) in out.drain(..) {
+                    send_frame(&mut transport, plan, rounds, agent, to, &packet);
                     sync_requests += 1;
                     observer.record(JournalEvent::SyncReq {
                         round: rounds,
-                        from: *requester,
-                        to: *nb,
+                        from: agent,
+                        to,
                     });
                 }
-            }
-            for key in abandoned_syncs {
-                syncs.remove(&key);
             }
 
             // 5. Proposals, in deterministic agent order, from alive nodes.
@@ -691,11 +574,11 @@ impl DistributedReduction {
             //    announces back to it), let it relearn the removal locally.
             let mut round_removals: Vec<(AgentId, LocalRemoval)> = Vec::new();
             let mut relearn: Vec<(AgentId, EdgeId)> = Vec::new();
-            for (agent, node) in &self.nodes {
+            for (agent, peer) in &peers {
                 if plan.is_down(*agent, rounds) {
                     continue;
                 }
-                for proposal in node.proposals() {
+                for proposal in peer.node().proposals() {
                     if removed.contains(&proposal.edge) {
                         relearn.push((*agent, proposal.edge));
                     } else if !round_removals.iter().any(|(_, r)| r.edge == proposal.edge) {
@@ -703,29 +586,33 @@ impl DistributedReduction {
                     }
                 }
             }
+            // An announcement that can still arrive: undelivered, not
+            // abandoned, and from a sender that may yet retransmit it.
+            let still_coming = |&(from, seq, delivered): &(AgentId, u64, bool),
+                                peers: &BTreeMap<AgentId, Peer>| {
+                !delivered
+                    && !peers[&from].announcement(seq).abandoned
+                    && !sender_gone(from, rounds)
+            };
             for (agent, edge) in relearn {
-                let incoming = pendings.iter().any(|p| {
-                    p.to == agent
-                        && p.msg.edge == edge
-                        && !p.delivered
-                        && !p.abandoned
-                        && !sender_gone(p.from, rounds)
+                let incoming = first_sends.iter().any(|sent| {
+                    let entry = peers[&sent.0].announcement(sent.1);
+                    entry.to == agent && entry.msg.edge == edge && still_coming(sent, &peers)
                 });
                 if !incoming {
-                    if let Some(node) = self.nodes.get_mut(&agent) {
-                        node.record_own_removal(edge);
+                    if let Some(peer) = peers.get_mut(&agent) {
+                        peer.announce(edge, &[], now, &mut out);
                     }
                 }
             }
 
             if round_removals.is_empty() {
-                let info_coming = pendings
-                    .iter()
-                    .any(|p| !p.delivered && !p.abandoned && !sender_gone(p.from, rounds));
+                let info_coming = first_sends.iter().any(|sent| still_coming(sent, &peers));
+                let syncing = peers.values().any(Peer::syncing);
                 let awaiting_restart = self.nodes.keys().any(|a| {
                     plan.is_down(*a, rounds) && plan.restart_round(*a).is_some_and(|r| r > rounds)
                 });
-                if !info_coming && syncs.is_empty() && !awaiting_restart {
+                if !info_coming && !syncing && !awaiting_restart {
                     rounds -= 1; // the final empty round is bookkeeping only
                     break None;
                 }
@@ -746,33 +633,15 @@ impl DistributedReduction {
                     edge: removal.edge,
                     rule: removal.rule,
                 });
-                if let Some(node) = self.nodes.get_mut(&decider) {
-                    node.record_own_removal(removal.edge);
+                let targets = self.announcement_targets(removal.edge, decider);
+                if let Some(peer) = peers.get_mut(&decider) {
+                    peer.announce(removal.edge, &targets, now, &mut out);
                 }
-                for target in self.announcement_targets(removal.edge, decider) {
-                    let msg = Message {
-                        from: decider,
-                        edge: removal.edge,
-                    };
-                    let seq = pendings.len() as u64;
-                    pendings.push(Pending {
-                        from: decider,
-                        to: target,
-                        msg,
-                        attempts: 1,
-                        next_retry: rounds + ack_timeout,
-                        acked: false,
-                        delivered: false,
-                        abandoned: false,
-                    });
-                    send_frame(
-                        &mut transport,
-                        plan,
-                        rounds,
-                        decider,
-                        target,
-                        &Packet::Data { seq, msg },
-                    );
+                for (to, packet) in out.drain(..) {
+                    if let Packet::Data { seq, .. } = packet {
+                        first_sends.push((decider, seq, false));
+                    }
+                    send_frame(&mut transport, plan, rounds, decider, to, &packet);
                     messages += 1;
                 }
             }
@@ -798,10 +667,9 @@ impl DistributedReduction {
             // A permanently-down participant may still have had moves to
             // make; claiming `infeasible` would be a guess.
             DistVerdict::Undecided(UndecidedReason::NodesDown)
-        } else if self
-            .nodes
+        } else if peers
             .values()
-            .any(|node| node.live_edge_ids().any(|e| removed.contains(&e)))
+            .any(|peer| peer.node().live_edge_ids().any(|e| removed.contains(&e)))
         {
             // Some surviving view missed an (abandoned) announcement, so
             // the fixpoint may be incomplete.
@@ -812,8 +680,8 @@ impl DistributedReduction {
 
         // Per-node epilogue: each surviving view's final state, in agent
         // order — the journal's per-node verdict lines.
-        for (agent, node) in &self.nodes {
-            let live = node.live_edge_ids().count();
+        for (agent, peer) in &peers {
+            let live = peer.node().live_edge_ids().count();
             observer.record(JournalEvent::NodeView {
                 node: *agent,
                 live,

@@ -1,11 +1,17 @@
 //! Connection supervision for the multi-process distributed engine.
 //!
-//! [`run_node`] is one principal's runtime: it owns that participant's
-//! [`Node`](crate::Node) slice of the sequencing graph, listens for peer
-//! traffic on its own socket, maintains one supervised outbound link per
-//! peer (connect deadlines, heartbeat keepalives, bounded reconnect with
-//! jittered exponential backoff) and speaks the PR-2 ack/retransmit
-//! protocol over them. [`run_supervisor`] is the orchestrating parent's
+//! [`run_node`] is one principal's runtime: it listens for peer traffic on
+//! its own socket, maintains one supervised outbound link per peer
+//! (connect deadlines, heartbeat keepalives, bounded reconnect with
+//! jittered exponential backoff) and, on every main-loop tick, steps the
+//! participant's reliability layer: the sans-IO per-node state machine
+//! that the in-process round loop
+//! ([`run_resilient`](crate::DistributedReduction::run_resilient)) steps
+//! too. It owns the participant's [`Node`](crate::Node) slice of the
+//! sequencing graph and numbers its announcements per sender; receivers
+//! drop repeats by `(sender, seq)`, and an unacknowledged announcement is
+//! resent after 1×, 2×, 4× and then 8× the ack timeout until its attempt
+//! budget runs out. [`run_supervisor`] is the orchestrating parent's
 //! control plane: every node connects to it, streams periodic
 //! [`NodeStatus`] reports, and the supervisor decides the run — then
 //! broadcasts a `halt` frame so every process exits promptly.
@@ -33,7 +39,7 @@
 //! retransmission layer resends, and if the budget runs out the verdict
 //! degrades explicitly.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -46,9 +52,9 @@ use trustseq_model::{AgentId, ExchangeSpec};
 
 use crate::codec::{NodeStatus, Packet};
 use crate::engine::DistributedReduction;
-use crate::faults::FaultPlan;
+use crate::faults::{FaultPlan, PlanError};
 use crate::net::{encode_frame, Addr, Conn, FrameDecoder, Listener, NetworkDescription};
-use crate::node::Message;
+use crate::peer::{Backoff, Outgoing, Peer, Received};
 use crate::resilient::{DistVerdict, UndecidedReason};
 
 /// Tunable timing/budget parameters for the supervision layer. All
@@ -204,6 +210,8 @@ pub enum SuperviseError {
     /// The requested principal does not participate in the spec, or is
     /// missing from the network description.
     UnknownAgent(AgentId),
+    /// The fault plan cannot drive a socket run ([`FaultPlan::check`]).
+    Plan(PlanError),
 }
 
 impl fmt::Display for SuperviseError {
@@ -214,6 +222,7 @@ impl fmt::Display for SuperviseError {
             SuperviseError::UnknownAgent(a) => {
                 write!(f, "agent {a} is not a participant with an address")
             }
+            SuperviseError::Plan(e) => e.fmt(f),
         }
     }
 }
@@ -272,16 +281,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4b9f9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
     x ^ (x >> 31)
-}
-
-/// An unacknowledged announcement awaiting its ack or abandonment.
-struct PendingTx {
-    msg: Message,
-    sent_at: Instant,
-    attempts: u32,
-    next_retry_tick: u64,
-    acked: bool,
-    abandoned: bool,
 }
 
 /// Commands/shared state handed to one outbound peer-link thread.
@@ -570,10 +569,14 @@ pub fn run_node(
     config: &SuperviseConfig,
     plan: &FaultPlan,
 ) -> Result<NodeReport, SuperviseError> {
-    let mut engine = DistributedReduction::new(spec)?;
-    if !engine.nodes.contains_key(&me) {
-        return Err(SuperviseError::UnknownAgent(me));
-    }
+    let engine = DistributedReduction::new(spec)?;
+    let node = engine
+        .nodes
+        .get(&me)
+        .cloned()
+        .ok_or(SuperviseError::UnknownAgent(me))?;
+    plan.check(&engine.participants().collect(), false)
+        .map_err(SuperviseError::Plan)?;
     let my_addr = desc
         .addr_of(me)
         .ok_or(SuperviseError::UnknownAgent(me))?
@@ -719,34 +722,36 @@ pub fn run_node(
     let deadline = Duration::from_millis(config.deadline_ms);
     let watchdog = deadline + Duration::from_millis(2 * config.settle_ms + 1000);
     let ack_ticks = (config.ack_timeout_ms / config.tick_ms).max(1);
-    let mut pendings: HashMap<(AgentId, u64), PendingTx> = HashMap::new();
-    let mut next_seq: BTreeMap<AgentId, u64> = BTreeMap::new();
-    let mut seen: HashSet<(AgentId, u64)> = HashSet::new();
-    let mut abandoned_total: u64 = 0;
+    let mut peer = Peer::new(
+        node,
+        Backoff {
+            ack: ack_ticks,
+            cap: 8 * ack_ticks,
+            max_attempts: config.max_attempts as usize,
+        },
+    );
+    let mut out: Vec<Outgoing> = Vec::new();
+    // When each announcement was last sent, by seq — for RTT samples.
+    let mut sent_at: HashMap<u64, Instant> = HashMap::new();
     let mut announced: BTreeSet<EdgeId> = BTreeSet::new();
     let mut final_verdict = None;
     let mut t = 0u64;
 
-    let build_status = |engine: &DistributedReduction,
-                        t: u64,
-                        pendings: &HashMap<(AgentId, u64), PendingTx>,
-                        abandoned_total: u64,
-                        link_stats: &BTreeMap<AgentId, Arc<LinkStats>>,
-                        inbound: &LinkStats|
-     -> NodeStatus {
-        let node = &engine.nodes[&me];
-        let mut s = NodeStatus::empty(me);
+    let send = |out: &mut Vec<Outgoing>, sent_at: &mut HashMap<u64, Instant>| {
+        for (to, packet) in out.drain(..) {
+            if let Packet::Data { seq, .. } = packet {
+                sent_at.insert(seq, Instant::now());
+            }
+            if let Some((tx, _)) = links.get(&to) {
+                let _ = tx.send(packet.to_wire());
+            }
+        }
+    };
+    let build_status = |peer: &Peer, t: u64| -> NodeStatus {
+        let mut s = peer.status();
         s.tick = t;
-        s.live = node.live_count() as u32;
-        s.proposals = node.proposals().len() as u32;
-        s.unacked = pendings
-            .values()
-            .filter(|p| !p.acked && !p.abandoned)
-            .count() as u32;
-        s.abandoned = abandoned_total as u32;
-        s.dead = node.dead_edges();
-        s.bytes_rx = inbound.bytes_rx.load(Ordering::Relaxed);
-        s.frames_rx = inbound.frames_rx.load(Ordering::Relaxed);
+        s.bytes_rx = inbound_stats.bytes_rx.load(Ordering::Relaxed);
+        s.frames_rx = inbound_stats.frames_rx.load(Ordering::Relaxed);
         for stats in link_stats.values() {
             s.bytes_tx += stats.bytes_tx.load(Ordering::Relaxed);
             s.frames_tx += stats.frames_tx.load(Ordering::Relaxed);
@@ -764,54 +769,30 @@ pub fn run_node(
         tick.store(t, Ordering::Relaxed);
 
         // 1. Deliver inbound packets.
-        while let Ok((peer, packet)) = in_rx.try_recv() {
+        while let Ok((from, packet)) = in_rx.try_recv() {
             // A scheduled partition also drops inbound traffic: the
             // receiver refuses the peer during the window.
-            if plan.is_cut(me, peer, t as usize) {
+            if plan.is_cut(me, from, t as usize) {
                 continue;
             }
-            match packet {
-                Packet::Data { seq, msg } => {
-                    if seen.insert((peer, seq)) {
-                        if let Some(node) = engine.nodes.get_mut(&me) {
-                            node.observe(msg);
-                        }
-                    }
-                    // Always (re-)ack — the previous ack may have died.
-                    if let Some((tx, _)) = links.get(&peer) {
-                        let _ = tx.send(Packet::Ack { seq }.to_wire());
-                    }
+            if let Received::Acked(seq) = peer.receive(from, packet, t, &mut out) {
+                if let (Some(at), Some(stats)) = (sent_at.get(&seq), link_stats.get(&from)) {
+                    let rtt = at.elapsed().as_micros() as u64;
+                    stats.rtt_us.store(rtt.max(1), Ordering::Relaxed);
                 }
-                Packet::Ack { seq } => {
-                    if let Some(p) = pendings.get_mut(&(peer, seq)) {
-                        if !p.acked {
-                            p.acked = true;
-                            let rtt = p.sent_at.elapsed().as_micros() as u64;
-                            if let Some(stats) = link_stats.get(&peer) {
-                                stats.rtt_us.store(rtt.max(1), Ordering::Relaxed);
-                            }
-                        }
-                    }
-                }
-                // Keepalives and stray control frames carry no state.
-                _ => {}
             }
+            send(&mut out, &mut sent_at);
         }
 
         // 2. Local reduction cascade: record every currently justifiable
         // removal and announce each to exactly the peers it can affect.
         loop {
-            let props = match engine.nodes.get(&me) {
-                Some(node) => node.proposals(),
-                None => Vec::new(),
-            };
+            let props = peer.node().proposals();
             if props.is_empty() {
                 break;
             }
             for prop in props {
-                if let Some(node) = engine.nodes.get_mut(&me) {
-                    node.record_own_removal(prop.edge);
-                }
+                // A node owning both ends of an edge proposes it twice.
                 if !announced.insert(prop.edge) {
                     continue;
                 }
@@ -826,69 +807,19 @@ pub fn run_node(
                     )
                     .expect("decided fits"),
                 );
-                for target in engine.announcement_targets(prop.edge, me) {
-                    if target == me {
-                        continue;
-                    }
-                    let seq_slot = next_seq.entry(target).or_insert(0);
-                    let seq = *seq_slot;
-                    *seq_slot += 1;
-                    let msg = Message {
-                        from: me,
-                        edge: prop.edge,
-                    };
-                    pendings.insert(
-                        (target, seq),
-                        PendingTx {
-                            msg,
-                            sent_at: Instant::now(),
-                            attempts: 1,
-                            next_retry_tick: t + ack_ticks,
-                            acked: false,
-                            abandoned: false,
-                        },
-                    );
-                    if let Some((tx, _)) = links.get(&target) {
-                        let _ = tx.send(Packet::Data { seq, msg }.to_wire());
-                    }
-                }
+                let targets = engine.announcement_targets(prop.edge, me);
+                peer.announce(prop.edge, &targets, t, &mut out);
+                send(&mut out, &mut sent_at);
             }
         }
 
         // 3. Retransmit overdue announcements; abandon exhausted ones.
-        for ((target, seq), p) in pendings.iter_mut() {
-            if p.acked || p.abandoned || p.next_retry_tick > t {
-                continue;
-            }
-            if p.attempts >= config.max_attempts {
-                p.abandoned = true;
-                abandoned_total += 1;
-                continue;
-            }
-            p.attempts += 1;
-            p.sent_at = Instant::now();
-            p.next_retry_tick = t + ack_ticks * (1 << p.attempts.min(3)) as u64;
-            if let Some((tx, _)) = links.get(target) {
-                let _ = tx.send(
-                    Packet::Data {
-                        seq: *seq,
-                        msg: p.msg,
-                    }
-                    .to_wire(),
-                );
-            }
-        }
+        peer.poll(t, &mut out);
+        send(&mut out, &mut sent_at);
 
         // 4. Periodic status to the supervisor.
         if t.is_multiple_of(config.status_every) {
-            let status = build_status(
-                &engine,
-                t,
-                &pendings,
-                abandoned_total,
-                &link_stats,
-                &inbound_stats,
-            );
+            let status = build_status(&peer, t);
             let _ = sup_conn
                 .write_all(&encode_frame(&Packet::Status(status).to_wire()).expect("status"));
         }
@@ -907,14 +838,7 @@ pub fn run_node(
 
     // Shut everything down; every thread polls `stop` with bounded waits.
     stop.store(true, Ordering::Relaxed);
-    let status = build_status(
-        &engine,
-        t,
-        &pendings,
-        abandoned_total,
-        &link_stats,
-        &inbound_stats,
-    );
+    let status = build_status(&peer, t);
     // One last cumulative status so the supervisor's outcome carries the
     // final traffic totals even when the verdict landed between periodic
     // reports (rung 1 can fire off `decided` frames alone).
@@ -1325,6 +1249,38 @@ mod tests {
             decide(4, 2, &expected, &reports, &none, false, true),
             Some(DistVerdict::Infeasible)
         );
+    }
+
+    /// The plan check comes before any socket is bound: the node's own
+    /// address is taken, so binding first would fail with an I/O error.
+    #[test]
+    fn run_node_refuses_a_plan_before_binding() {
+        let (spec, _) = fixtures::example1();
+        let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = Addr::Tcp(taken.local_addr().unwrap().to_string());
+        let me = AgentId::new(0);
+        let desc = NetworkDescription {
+            supervisor: addr.clone(),
+            nodes: [(me, addr)].into_iter().collect(),
+            config: None,
+        };
+        for (plan, refusal) in [
+            (
+                "seed=1;crash=a1@1..",
+                PlanError::CrashNotSimulated(AgentId::new(1)),
+            ),
+            (
+                "seed=1;cut=a0~a99@1..",
+                PlanError::UnknownAgent(AgentId::new(99)),
+            ),
+        ] {
+            let plan: FaultPlan = plan.parse().unwrap();
+            let err = run_node(&spec, me, &desc, &SuperviseConfig::default(), &plan).unwrap_err();
+            assert!(
+                matches!(&err, SuperviseError::Plan(e) if *e == refusal),
+                "{err}"
+            );
+        }
     }
 
     /// Full in-process end-to-end: N node runtimes on threads, one

@@ -113,8 +113,8 @@ impl<M: Clone> FaultyTransport<M> {
     }
 
     /// Returns every message that arrives at the start of `round`, in
-    /// delivery order, paired with its addressee.
-    pub fn deliver(&mut self, round: usize) -> Vec<(AgentId, M)> {
+    /// delivery order, as `(sender, addressee, message)`.
+    pub fn deliver(&mut self, round: usize) -> Vec<(AgentId, AgentId, M)> {
         let mut arrived = Vec::new();
         let mut still_flying = Vec::with_capacity(self.queue.len());
         for (due, from, to, msg) in self.queue.drain(..) {
@@ -122,7 +122,7 @@ impl<M: Clone> FaultyTransport<M> {
                 if self.plan.is_down(to, round) {
                     self.stats.lost_to_down.fetch_add(1, Ordering::Relaxed);
                 } else {
-                    arrived.push((to, msg));
+                    arrived.push((from, to, msg));
                 }
             } else {
                 still_flying.push((due, from, to, msg));
@@ -225,7 +225,10 @@ mod tests {
         for round in 2..8 {
             arrived.extend(t.deliver(round));
         }
-        assert_eq!(arrived, vec![(a(1), 1), (a(2), 3), (a(1), 4)]);
+        assert_eq!(
+            arrived,
+            vec![(a(0), a(1), 1), (a(0), a(2), 3), (a(0), a(1), 4)]
+        );
         assert_eq!(t.stats().cut, 1);
     }
 
@@ -242,7 +245,7 @@ mod tests {
         t.send(2, a(0), a(1), 7); // arrives round 3 while a1 is down: lost
         t.send(4, a(0), a(1), 8); // arrives round 5, a1 restarted: delivered
         assert!(t.deliver(3).is_empty());
-        assert_eq!(t.deliver(5), vec![(a(1), 8)]);
+        assert_eq!(t.deliver(5), vec![(a(0), a(1), 8)]);
         assert_eq!(t.stats().lost_to_down, 1);
     }
 }

@@ -333,7 +333,8 @@ static FLAGS: &[Flag] = &[
         scope: Only("dist dist-run dist-node"),
         kind: Plan(|a, plan| a.faults = plan),
         default: "",
-        help: "seeded fault plan, e.g. \"seed=7;drop=200;dup=50;delay=2;corrupt=50\"",
+        help: "seeded fault plan, e.g. \"seed=7;drop=200;dup=50;delay=2;corrupt=50\"; \
+               crash schedules (crash=) are honoured only by `dist`",
     },
     Flag {
         usage: "--journal PATH",
@@ -1589,8 +1590,16 @@ pub fn run_journal_replay(journal_text: &str) -> Result<String, String> {
     let plan: FaultPlan = plan_str
         .parse()
         .map_err(|e| format!("bad journal fault plan: {e}"))?;
-    let config =
-        ResilientConfig::from_wire(&config_str).map_err(|e| format!("bad journal config: {e}"))?;
+    let config = ResilientConfig::from_wire(&config_str).map_err(|e| {
+        if SuperviseConfig::from_wire(&config_str).is_ok() {
+            "this is a `dist-run` socket audit journal, which records what one run did \
+             but cannot be replayed (socket timing is not deterministic): only `dist` \
+             journals replay (DESIGN.md §11)"
+                .to_string()
+        } else {
+            format!("bad journal config: {e}")
+        }
+    })?;
     let options = if extended {
         trustseq_core::BuildOptions::EXTENDED
     } else {
@@ -2715,6 +2724,14 @@ mod tests {
             ],
         ),
         ("verify SKILL.md", &["loadgen", "--quick"]),
+        (
+            "verify SKILL.md",
+            &["chaos-sockets", "--out", "/tmp/BENCH_sockets.json"],
+        ),
+        (
+            ".github/workflows/ci.yml",
+            &["chaos-sockets", "--out", "/tmp/BENCH_sockets.json"],
+        ),
         (
             "perfbench/src/server.rs",
             &[

@@ -77,6 +77,7 @@ pub fn run_multiprocess(
     let spec = parse_spec(spec_source).map_err(|e| format!("parse error: {e}"))?;
     let (agents, total_edges) =
         participants_and_edges(&spec).map_err(|e| format!("spec error: {e}"))?;
+    plan.check(&agents, false).map_err(|e| e.to_string())?;
 
     let dir = run_dir();
     std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;

@@ -74,6 +74,43 @@ fn dist_run_writes_an_audit_journal() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `journal-replay` names a socket audit journal for what it is instead
+/// of failing to parse its supervision config.
+#[test]
+fn a_socket_audit_journal_is_refused_by_name() {
+    let dir = std::env::temp_dir().join(format!("trustseq-replay-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("audit.jsonl");
+    let journal = journal.to_str().unwrap();
+    let (ok, _, stderr) = trustseq(&["dist-run", "--journal", journal, "specs/example1.tseq"]);
+    assert!(ok, "{stderr}");
+    let (ok, stdout, stderr) = trustseq(&["journal-replay", journal]);
+    assert!(!ok, "{stdout}");
+    assert!(stderr.contains("socket audit journal"), "{stderr}");
+    assert!(stderr.contains("only `dist` journals replay"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A fault plan the socket runtime cannot honour is refused before any
+/// process starts: a crash schedule (socket runs crash a node by killing
+/// it), and an agent outside the spec, in the words `dist` uses.
+#[test]
+fn dist_run_refuses_a_plan_it_cannot_honour() {
+    let crash = "seed=1;crash=a1@1..";
+    let (ok, stdout, stderr) = trustseq(&["dist-run", "--faults", crash, "specs/example1.tseq"]);
+    assert!(!ok, "{stdout}");
+    assert!(stderr.contains("`crash=`"), "{stderr}");
+    assert!(stderr.contains("only by `dist`"), "{stderr}");
+
+    let cut = "seed=1;cut=a0~a99@1..";
+    let (ok, stdout, socket) = trustseq(&["dist-run", "--faults", cut, "specs/example1.tseq"]);
+    assert!(!ok, "{stdout}");
+    let (ok, stdout, in_process) = trustseq(&["dist", "--faults", cut, "specs/example1.tseq"]);
+    assert!(!ok, "{stdout}");
+    assert!(socket.contains("unknown agent a99"), "{socket}");
+    assert_eq!(socket, in_process);
+}
+
 #[test]
 fn dist_node_validates_its_flags() {
     // Missing --net / --id are usage errors, not hangs.
